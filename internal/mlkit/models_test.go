@@ -393,6 +393,43 @@ func BenchmarkKMeans700Jobs(b *testing.B) {
 	}
 }
 
+func BenchmarkKMeans700JobsK40(b *testing.B) {
+	// The same window at the K=40 the benchmark workloads use, where
+	// K-means++ seeding's cost grows with k.
+	rng := rand.New(rand.NewSource(1))
+	xs := make([][]float64, 700)
+	for i := range xs {
+		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		KMeansFit(xs, 40, 50, rng)
+	}
+}
+
+func BenchmarkSVRFitJobWindow(b *testing.B) {
+	// One refresh's SVR stage: a 700-row job-like window (most rows
+	// bit-identical to another) clustered at K=40, then one SVR per
+	// cluster with the framework's configuration.
+	xs, ys := jobWindowRows(700, 41)
+	km := KMeansFit(xs, 40, 50, rand.New(rand.NewSource(42)))
+	cx := make([][][]float64, km.K())
+	cy := make([][]float64, km.K())
+	for i, c := range km.Assign(xs) {
+		cx[c] = append(cx[c], xs[i])
+		cy[c] = append(cy[c], ys[i])
+	}
+	cfg := SVRConfig{C: 10, Epsilon: 0.01, MaxIter: 1500, Kernel: RBFKernel{Gamma: 0.25}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := range cx {
+			SVRFit(cx[c], cy[c], cfg)
+		}
+	}
+}
+
 func BenchmarkSVRFitCluster(b *testing.B) {
 	// ~47 jobs per cluster (700/15) with 5 features.
 	rng := rand.New(rand.NewSource(2))
