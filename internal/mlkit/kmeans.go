@@ -35,12 +35,7 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, s := range samples {
-			best, bestD := 0, math.Inf(1)
-			for c, cen := range centroids {
-				if d := SqDist(s, cen); d < bestD {
-					best, bestD = c, d
-				}
-			}
+			best, _ := nearest(s, centroids)
 			if assign[i] != best {
 				assign[i] = best
 				changed = true
@@ -84,33 +79,36 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 	}
 
 	km := &KMeans{Centroids: centroids, Sizes: make([]int, k)}
-	for i, s := range samples {
-		c := km.Nearest(s)
-		assign[i] = c
+	for _, s := range samples {
+		c, d := nearest(s, centroids)
 		km.Sizes[c]++
-		km.Inertia += SqDist(s, centroids[c])
+		km.Inertia += d
 	}
 	return km
 }
 
-// seedPlusPlus picks k initial centroids with D² weighting.
+// seedPlusPlus picks k initial centroids with D² weighting. d2[i] is the
+// running minimum distance from sample i to the centroids so far; each
+// round folds in only the newest centroid, so seeding is O(n·k) rather
+// than O(n·k²). The minimum is exact and the total sums the same values
+// in the same order, so the draws and picks match a full recomputation.
 func seedPlusPlus(samples [][]float64, k int, rng *rand.Rand) [][]float64 {
 	centroids := make([][]float64, 0, k)
 	first := samples[rng.Intn(len(samples))]
 	centroids = append(centroids, append([]float64(nil), first...))
 
 	d2 := make([]float64, len(samples))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		total := 0.0
 		for i, s := range samples {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := SqDist(s, c); d < best {
-					best = d
-				}
+			if d := sqDistBelow(s, newest, d2[i]); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			total += best
+			total += d2[i]
 		}
 		if total == 0 {
 			// All remaining samples coincide with centroids; duplicate one.
@@ -136,22 +134,49 @@ func (k *KMeans) K() int { return len(k.Centroids) }
 
 // Nearest returns the index of the closest centroid to x.
 func (k *KMeans) Nearest(x []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cen := range k.Centroids {
-		if d := SqDist(x, cen); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
+	c, _ := nearest(x, k.Centroids)
+	return c
 }
 
 // Assign returns the cluster index of every sample.
 func (k *KMeans) Assign(samples [][]float64) []int {
 	out := make([]int, len(samples))
 	for i, s := range samples {
-		out[i] = k.Nearest(s)
+		out[i], _ = nearest(s, k.Centroids)
 	}
 	return out
+}
+
+// nearest returns the index of the centroid closest to x (the first on a
+// tie) and its squared distance, which is bit-identical to SqDist.
+func nearest(x []float64, centroids [][]float64) (int, float64) {
+	best, bestD := 0, math.Inf(1)
+	for c, cen := range centroids {
+		if d := sqDistBelow(x, cen, bestD); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}
+
+// sqDistBelow returns SqDist(a, b) when it is below bound, and otherwise
+// some value ≥ bound: it stops summing once the partial sum reaches
+// bound. The terms are non-negative, so the partial sum never decreases
+// and a stopped sum could not have ended below bound; a completed sum is
+// SqDist's, bit for bit.
+func sqDistBelow(a, b []float64, bound float64) float64 {
+	if len(a) != len(b) {
+		panic("mlkit: SqDist length mismatch")
+	}
+	s := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+		if s >= bound {
+			break
+		}
+	}
+	return s
 }
 
 // ChooseKElbow runs K-means for k in [kMin, kMax] and picks the elbow of

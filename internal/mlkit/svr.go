@@ -1,7 +1,9 @@
 package mlkit
 
 import (
+	"cmp"
 	"math"
+	"slices"
 )
 
 // Kernel maps two feature vectors to a similarity value.
@@ -70,15 +72,26 @@ func (c SVRConfig) withDefaults(p int) SVRConfig {
 // constraint Σβ = 0 and admits a closed-form per-coordinate update with
 // soft thresholding at ε.
 type SVR struct {
-	cfg  SVRConfig
-	x    [][]float64
+	cfg SVRConfig
+	// beta holds one dual coefficient per training sample.
 	beta []float64
-	// support indexes the non-zero coefficients.
-	support []int
-	iters   int
+	// svBeta lists the non-zero coefficients in sample order; svRow[s]
+	// indexes rows, the distinct training rows the support vectors use.
+	svBeta []float64
+	svRow  []int
+	rows   [][]float64
+	iters  int
 }
 
 // SVRFit trains an SVR on row-major samples x with targets y.
+//
+// Job windows repeat rows: bit-identical rows have bit-identical rows of
+// K' (Kernel.Eval must be symmetric bit for bit, as RBFKernel and
+// LinearKernel are), so their entries of f receive the same additions in
+// the same order. The solver therefore keeps K' and f over the u distinct
+// rows only, while β and the coordinate order stay per sample: every
+// coefficient is bit-identical to the n×n formulation, and an update
+// costs u instead of n.
 func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 	n := len(x)
 	if n == 0 {
@@ -88,29 +101,32 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 		panic("mlkit: SVRFit requires len(x) == len(y)")
 	}
 	cfg = cfg.withDefaults(len(x[0]))
-	m := &SVR{cfg: cfg, x: x, beta: make([]float64, n)}
+	m := &SVR{cfg: cfg, beta: make([]float64, n)}
+	rep, uniq, scratch := uniqueRows(x)
+	u := len(uniq)
 
 	// Precompute the augmented kernel matrix K' = K + 1 (bias folding).
-	km := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := cfg.Kernel.Eval(x[i], x[j]) + 1
-			km[i*n+j] = v
-			km[j*n+i] = v
+	km := make([]float64, u*u)
+	for i := 0; i < u; i++ {
+		for j := i; j < u; j++ {
+			v := cfg.Kernel.Eval(uniq[i], uniq[j]) + 1
+			km[i*u+j] = v
+			km[j*u+i] = v
 		}
 	}
 
-	// f[i] = Σ_j β_j K'_ij, maintained incrementally.
-	f := make([]float64, n)
+	// f[p] = Σ_j β_j K'_pj over the samples j, maintained incrementally.
+	f := make([]float64, u)
 	for sweep := 0; sweep < cfg.MaxIter; sweep++ {
 		maxDelta := 0.0
 		for i := 0; i < n; i++ {
-			kii := km[i*n+i]
+			p := rep[i]
+			kii := km[p*u+p]
 			if kii <= 0 {
 				continue
 			}
 			// Residual excluding i's own contribution.
-			r := y[i] - (f[i] - m.beta[i]*kii)
+			r := y[i] - (f[p] - m.beta[i]*kii)
 			// Soft-threshold at epsilon, then box-clip.
 			var nb float64
 			switch {
@@ -131,8 +147,8 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 				continue
 			}
 			m.beta[i] = nb
-			for j := 0; j < n; j++ {
-				f[j] += d * km[i*n+j]
+			for j, v := range km[p*u : p*u+u] {
+				f[j] += d * v
 			}
 			if ad := math.Abs(d); ad > maxDelta {
 				maxDelta = ad
@@ -144,26 +160,113 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 		}
 	}
 
-	for i, b := range m.beta {
+	// Keep the support vectors and, once each, the distinct rows they use.
+	nsv := 0
+	for _, b := range m.beta {
 		if b != 0 {
-			m.support = append(m.support, i)
+			nsv++
 		}
+	}
+	m.svBeta = make([]float64, 0, nsv)
+	m.svRow = make([]int, 0, nsv)
+	m.rows = make([][]float64, 0, min(nsv, u))
+	kept := scratch[:u]
+	for p := range kept {
+		kept[p] = -1
+	}
+	for i, b := range m.beta {
+		if b == 0 {
+			continue
+		}
+		p := rep[i]
+		if kept[p] < 0 {
+			kept[p] = len(m.rows)
+			m.rows = append(m.rows, uniq[p])
+		}
+		m.svBeta = append(m.svBeta, b)
+		m.svRow = append(m.svRow, kept[p])
 	}
 	return m
 }
 
-// Predict evaluates the fitted model at q.
+// uniqueRows maps every row of x to its class of bit-identical rows:
+// rep[i] numbers the classes in order of first occurrence and uniq[c] is
+// class c's first row. Rows are grouped by sorting their indices on the
+// rows' Float64bits, so the cost in allocations does not grow with the
+// row count; scratch is a free buffer of len(x) ints for the caller.
+func uniqueRows(x [][]float64) (rep []int, uniq [][]float64, scratch []int) {
+	n := len(x)
+	buf := make([]int, 2*n)
+	order, rep := buf[:n], buf[n:]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := compareBits(x[a], x[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Point each row at its class's first (lowest-index) row.
+	u := 0
+	for k, i := range order {
+		if k > 0 && compareBits(x[order[k-1]], x[i]) == 0 {
+			rep[i] = rep[order[k-1]]
+		} else {
+			rep[i] = i
+			u++
+		}
+	}
+	// Renumber classes by first occurrence; rep[rep[i]] < i is already a
+	// class number when row i is reached.
+	uniq = make([][]float64, 0, u)
+	for i := range rep {
+		if rep[i] == i {
+			rep[i] = len(uniq)
+			uniq = append(uniq, x[i])
+		} else {
+			rep[i] = rep[rep[i]]
+		}
+	}
+	return rep, uniq, order
+}
+
+// compareBits orders rows by length, then lexicographically by the bit
+// patterns of their elements; it returns 0 only for bit-identical rows.
+func compareBits(a, b []float64) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	for i := range a {
+		if c := cmp.Compare(math.Float64bits(a[i]), math.Float64bits(b[i])); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// Predict evaluates the fitted model at q. The kernel is evaluated once
+// per distinct support row; the sum still runs over the support vectors
+// in sample order, so the result is the per-sample sum, bit for bit.
 func (m *SVR) Predict(q []float64) float64 {
+	var buf [256]float64
+	k := buf[:]
+	if len(m.rows) > len(buf) {
+		k = make([]float64, len(m.rows))
+	}
+	for r, row := range m.rows {
+		k[r] = m.cfg.Kernel.Eval(row, q)
+	}
 	s := 0.0
-	for _, i := range m.support {
-		s += m.beta[i] * (m.cfg.Kernel.Eval(m.x[i], q) + 1)
+	for i, b := range m.svBeta {
+		s += b * (k[m.svRow[i]] + 1)
 	}
 	return s
 }
 
 // SupportVectors returns the number of samples with non-zero dual
 // coefficients.
-func (m *SVR) SupportVectors() int { return len(m.support) }
+func (m *SVR) SupportVectors() int { return len(m.svBeta) }
 
 // Iterations returns the number of coordinate-descent sweeps performed.
 func (m *SVR) Iterations() int { return m.iters }
