@@ -75,12 +75,17 @@ type SVR struct {
 	cfg SVRConfig
 	// beta holds one dual coefficient per training sample.
 	beta []float64
-	// svBeta lists the non-zero coefficients in sample order; svRow[s]
-	// indexes rows, the distinct training rows the support vectors use.
-	svBeta []float64
-	svRow  []int
-	rows   [][]float64
-	iters  int
+	// sv lists the support vectors in sample order; their rows index
+	// rows, the distinct training rows the support vectors use.
+	sv    []supportVector
+	rows  [][]float64
+	iters int
+}
+
+// supportVector is one sample with a non-zero dual coefficient.
+type supportVector struct {
+	beta float64
+	row  int
 }
 
 // SVRFit trains an SVR on row-major samples x with targets y.
@@ -102,7 +107,7 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 	}
 	cfg = cfg.withDefaults(len(x[0]))
 	m := &SVR{cfg: cfg, beta: make([]float64, n)}
-	rep, uniq, scratch := uniqueRows(x)
+	rep, uniq := uniqueRows(x)
 	u := len(uniq)
 
 	// Precompute the augmented kernel matrix K' = K + 1 (bias folding).
@@ -167,24 +172,19 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 			nsv++
 		}
 	}
-	m.svBeta = make([]float64, 0, nsv)
-	m.svRow = make([]int, 0, nsv)
+	m.sv = make([]supportVector, 0, nsv)
 	m.rows = make([][]float64, 0, min(nsv, u))
-	kept := scratch[:u]
-	for p := range kept {
-		kept[p] = -1
-	}
+	kept := make([]int, u) // kept[p] is p's index in m.rows plus one
 	for i, b := range m.beta {
 		if b == 0 {
 			continue
 		}
 		p := rep[i]
-		if kept[p] < 0 {
-			kept[p] = len(m.rows)
+		if kept[p] == 0 {
 			m.rows = append(m.rows, uniq[p])
+			kept[p] = len(m.rows)
 		}
-		m.svBeta = append(m.svBeta, b)
-		m.svRow = append(m.svRow, kept[p])
+		m.sv = append(m.sv, supportVector{beta: b, row: kept[p] - 1})
 	}
 	return m
 }
@@ -192,9 +192,9 @@ func SVRFit(x [][]float64, y []float64, cfg SVRConfig) *SVR {
 // uniqueRows maps every row of x to its class of bit-identical rows:
 // rep[i] numbers the classes in order of first occurrence and uniq[c] is
 // class c's first row. Rows are grouped by sorting their indices on the
-// rows' Float64bits, so the cost in allocations does not grow with the
-// row count; scratch is a free buffer of len(x) ints for the caller.
-func uniqueRows(x [][]float64) (rep []int, uniq [][]float64, scratch []int) {
+// rows' Float64bits, so the number of allocations does not grow with the
+// row count.
+func uniqueRows(x [][]float64) (rep []int, uniq [][]float64) {
 	n := len(x)
 	buf := make([]int, 2*n)
 	order, rep := buf[:n], buf[n:]
@@ -228,7 +228,7 @@ func uniqueRows(x [][]float64) (rep []int, uniq [][]float64, scratch []int) {
 			rep[i] = rep[rep[i]]
 		}
 	}
-	return rep, uniq, order
+	return rep, uniq
 }
 
 // compareBits orders rows by length, then lexicographically by the bit
@@ -258,15 +258,15 @@ func (m *SVR) Predict(q []float64) float64 {
 		k[r] = m.cfg.Kernel.Eval(row, q)
 	}
 	s := 0.0
-	for i, b := range m.svBeta {
-		s += b * (k[m.svRow[i]] + 1)
+	for _, v := range m.sv {
+		s += v.beta * (k[v.row] + 1)
 	}
 	return s
 }
 
 // SupportVectors returns the number of samples with non-zero dual
 // coefficients.
-func (m *SVR) SupportVectors() int { return len(m.svBeta) }
+func (m *SVR) SupportVectors() int { return len(m.sv) }
 
 // Iterations returns the number of coordinate-descent sweeps performed.
 func (m *SVR) Iterations() int { return m.iters }
