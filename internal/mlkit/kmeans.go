@@ -162,19 +162,28 @@ func nearest(x []float64, centroids [][]float64) (int, float64) {
 // sqDistBelow returns SqDist(a, b) when it is below bound, and otherwise
 // some value ≥ bound: it stops summing once the partial sum reaches
 // bound. The terms are non-negative, so the partial sum never decreases
-// and a stopped sum could not have ended below bound; a completed sum is
-// SqDist's, bit for bit.
+// and a stopped sum could not have ended below bound; a completed sum
+// adds the same terms in the same order as SqDist, so it is bit-identical.
+// The bound is checked once per pair of terms: a check after every term
+// costs more in mispredicted branches than it saves on short vectors.
 func sqDistBelow(a, b []float64, bound float64) float64 {
 	if len(a) != len(b) {
 		panic("mlkit: SqDist length mismatch")
 	}
 	s := 0.0
-	for i := range a {
+	i := 0
+	for ; i+1 < len(a); i += 2 {
 		d := a[i] - b[i]
 		s += d * d
+		d = a[i+1] - b[i+1]
+		s += d * d
 		if s >= bound {
-			break
+			return s
 		}
+	}
+	if i < len(a) {
+		d := a[i] - b[i]
+		s += d * d
 	}
 	return s
 }
