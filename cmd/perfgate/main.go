@@ -1,8 +1,9 @@
 // Command perfgate is the performance-trajectory CI gate: it compares a
 // fresh `benchrunner -json` record against the committed baseline
 // (BENCH_<preset>.json) and exits 1 on any regression beyond the noise
-// tolerance — a suite-throughput drop, a per-experiment throughput drop,
-// a kernel-microbenchmark slowdown, or any new per-op allocation (which
+// tolerance — a suite-throughput drop, a per-experiment throughput drop
+// (wall-time growth for experiments with no simulated events), a
+// kernel-microbenchmark slowdown, or any new per-op allocation (which
 // gets zero tolerance, since allocation counts are machine-independent).
 //
 // Usage:

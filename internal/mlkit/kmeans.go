@@ -35,7 +35,7 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, s := range samples {
-			best, _ := nearest(s, centroids)
+			best := nearest(s, centroids)
 			if assign[i] != best {
 				assign[i] = best
 				changed = true
@@ -79,10 +79,11 @@ func KMeansFit(samples [][]float64, k int, maxIter int, rng *rand.Rand) *KMeans 
 	}
 
 	km := &KMeans{Centroids: centroids, Sizes: make([]int, k)}
-	for _, s := range samples {
-		c, d := nearest(s, centroids)
+	for i, s := range samples {
+		c := km.Nearest(s)
+		assign[i] = c
 		km.Sizes[c]++
-		km.Inertia += d
+		km.Inertia += SqDist(s, centroids[c])
 	}
 	return km
 }
@@ -134,29 +135,28 @@ func (k *KMeans) K() int { return len(k.Centroids) }
 
 // Nearest returns the index of the closest centroid to x.
 func (k *KMeans) Nearest(x []float64) int {
-	c, _ := nearest(x, k.Centroids)
-	return c
+	return nearest(x, k.Centroids)
 }
 
 // Assign returns the cluster index of every sample.
 func (k *KMeans) Assign(samples [][]float64) []int {
 	out := make([]int, len(samples))
 	for i, s := range samples {
-		out[i], _ = nearest(s, k.Centroids)
+		out[i] = nearest(s, k.Centroids)
 	}
 	return out
 }
 
-// nearest returns the index of the centroid closest to x (the first on a
-// tie) and its squared distance, which is bit-identical to SqDist.
-func nearest(x []float64, centroids [][]float64) (int, float64) {
+// nearest returns the index of the centroid closest to x, the first on a
+// tie.
+func nearest(x []float64, centroids [][]float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, cen := range centroids {
 		if d := sqDistBelow(x, cen, bestD); d < bestD {
 			best, bestD = c, d
 		}
 	}
-	return best, bestD
+	return best
 }
 
 // sqDistBelow returns SqDist(a, b) when it is below bound, and otherwise

@@ -6,7 +6,9 @@ import (
 	"slices"
 )
 
-// Kernel maps two feature vectors to a similarity value.
+// Kernel maps two feature vectors to a similarity value. Eval must be a
+// symmetric pure function of its arguments' bits: SVRFit evaluates it
+// once per pair of distinct rows.
 type Kernel interface {
 	Eval(a, b []float64) float64
 }
@@ -91,8 +93,7 @@ type supportVector struct {
 // SVRFit trains an SVR on row-major samples x with targets y.
 //
 // Job windows repeat rows: bit-identical rows have bit-identical rows of
-// K' (Kernel.Eval must be symmetric bit for bit, as RBFKernel and
-// LinearKernel are), so their entries of f receive the same additions in
+// K' (Kernel.Eval is symmetric bit for bit), so their entries of f receive the same additions in
 // the same order. The solver therefore keeps K' and f over the u distinct
 // rows only, while β and the coordinate order stay per sample: every
 // coefficient is bit-identical to the n×n formulation, and an update

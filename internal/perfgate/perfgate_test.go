@@ -13,7 +13,8 @@ func baseRecord() *Record {
 		Experiments: []Experiment{
 			{ID: "fig7f", Events: 20_000_000, EventsPerSec: 1_400_000},
 			{ID: "fig10", Events: 14_000_000, EventsPerSec: 1_000_000},
-			{ID: "table8", Events: 0, EventsPerSec: 0},
+			{ID: "table8", WallMS: 16_000, Events: 0, EventsPerSec: 0},
+			{ID: "table1", WallMS: 0.05, Events: 0, EventsPerSec: 0},
 		},
 		Kernel: []Microbench{
 			{Name: "EngineStep", NsPerOp: 160, AllocsPerOp: 0},
@@ -72,6 +73,40 @@ func TestExperimentRegressionFires(t *testing.T) {
 	rep := Compare(base, fresh, Tolerance{})
 	if rep.Regressions() != 1 || !strings.Contains(rep.String(), "experiment fig10") {
 		t.Fatalf("want one fig10 regression:\n%s", rep)
+	}
+}
+
+// TestZeroEventExperimentsGateOnWallTime covers experiments that never
+// touch the simulation kernel: their wall time is judged against the
+// experiment tolerance, except on a different machine (demoted to the
+// num_cpu note) and below the noise floor.
+func TestZeroEventExperimentsGateOnWallTime(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(fresh *Record)
+		regress int
+		want    string
+	}{
+		{"within tolerance passes", func(f *Record) { f.Experiments[2].WallMS = 16_000 * 1.35 }, 0, "perfgate: ok"},
+		{"faster passes", func(f *Record) { f.Experiments[2].WallMS = 6_000 }, 0, "perfgate: ok"},
+		{"beyond tolerance fails", func(f *Record) { f.Experiments[2].WallMS = 16_000 * 1.5 }, 1, "experiment table8 took 24000 ms, 50.0% above baseline 16000 ms"},
+		{"different machine is a note", func(f *Record) {
+			f.NumCPU = 4
+			f.Experiments[2].WallMS = 16_000 * 3
+		}, 0, "num_cpu differs"},
+		{"below the noise floor is not gated", func(f *Record) { f.Experiments[3].WallMS = 5 }, 0, "perfgate: ok"},
+		{"events in one record only is a note", func(f *Record) {
+			f.Experiments[2].Events, f.Experiments[2].EventsPerSec = 1000, 100
+		}, 0, "experiment table8 has simulated events in only one record"},
+	}
+	for _, c := range cases {
+		base := baseRecord()
+		fresh := clone(base)
+		c.mutate(fresh)
+		rep := Compare(base, fresh, Tolerance{})
+		if rep.Regressions() != c.regress || !strings.Contains(rep.String(), c.want) {
+			t.Errorf("%s: want %d regression(s) and %q:\n%s", c.name, c.regress, c.want, rep)
+		}
 	}
 }
 
