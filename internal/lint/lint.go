@@ -61,11 +61,10 @@ type Package struct {
 }
 
 // Analyzer is one named determinism rule. Exactly one of Run and
-// RunModule is set (or neither, for pipeline-implemented analyzers like
-// staleignore): Run sees one package at a time and may be cached and
-// parallelized per package; RunModule sees every loaded package at once,
-// for rules whose evidence spans packages (taint chains, randlabel's
-// cross-package stream collisions).
+// RunModule is set (or neither, for staleignore, which Run implements
+// itself): Run sees one package at a time; RunModule sees every loaded
+// package at once, for rules whose evidence spans packages (taint
+// chains, randlabel's cross-package stream collisions).
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -93,128 +92,38 @@ func AnalyzerNames() []string {
 	return names
 }
 
-// Run executes the analyzers over the packages, applies
-// //eslurmlint:ignore suppressions, and returns the surviving findings
-// sorted by position. Malformed suppression comments are themselves
-// reported as findings of the pseudo-analyzer "suppress". Run is the
-// serial reference pipeline; the CLI drives RunParallel, which must
-// produce byte-identical output.
+// Run executes the analyzers over the packages and returns the surviving
+// findings sorted by position. It collects every //eslurmlint:ignore
+// directive once, runs every analyzer, filters the findings through the
+// directives once, and then judges staleignore on the directives that
+// silenced nothing. Malformed directives are themselves reported as
+// findings of the pseudo-analyzer "suppress".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	raw := make([]*pkgResult, len(pkgs))
-	for i, p := range pkgs {
-		raw[i] = runPerPackage(p, analyzers)
-	}
-	return assemble(pkgs, analyzers, raw)
-}
-
-// pkgResult is the complete per-package unit of work: the single-package
-// analyzer findings that survived this package's own suppressions, any
-// malformed-directive findings, and the state of every directive —
-// including whether it was load-bearing. Carrying the used flags in the
-// unit (and therefore in the result cache's payload) is what keeps
-// staleignore correct on warm-cache runs: a replayed package must replay
-// which directives it consumed, not just which findings survived.
-type pkgResult struct {
-	findings   []Finding
-	malformed  []Finding
-	directives []directiveState
-}
-
-// directiveState is the serializable form of one suppression directive.
-type directiveState struct {
-	key  suppression
-	pos  token.Position
-	used bool
-}
-
-// knownAnalyzers is the directive-validation set: every registered
-// analyzer plus any extra analyzers enabled for this invocation. A
-// directive may name any registered analyzer without being "malformed",
-// even when the invocation enables a subset.
-func knownAnalyzers(analyzers []*Analyzer) map[string]bool {
-	known := make(map[string]bool, len(analyzers))
+	// A directive may name any registered analyzer without being
+	// malformed, even when this run enables a subset.
+	known := make(map[string]bool)
+	enabled := make(map[string]bool, len(analyzers))
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
 	for _, a := range analyzers {
 		known[a.Name] = true
-	}
-	return known
-}
-
-// runPerPackage executes the single-package analyzers over one package
-// and applies the package's own suppressions. This is the unit of work
-// the parallel driver distributes and the result cache stores.
-func runPerPackage(p *Package, analyzers []*Analyzer) *pkgResult {
-	sups, malformed := collectSuppressions(p, knownAnalyzers(analyzers))
-	res := &pkgResult{malformed: malformed}
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		for _, f := range a.Run(p) {
-			if !sups.covers(f) {
-				res.findings = append(res.findings, f)
-			}
-		}
-	}
-	res.directives = flattenSuppressions(sups)
-	return res
-}
-
-// flattenSuppressions renders a suppressionSet as a sorted slice, so
-// per-package results (and cache payloads) are deterministic.
-func flattenSuppressions(sups suppressionSet) []directiveState {
-	out := make([]directiveState, 0, len(sups))
-	for k, e := range sups {
-		out = append(out, directiveState{key: k, pos: e.pos, used: e.used})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		if a.file != b.file {
-			return a.file < b.file
-		}
-		if a.line != b.line {
-			return a.line < b.line
-		}
-		return a.analyzer < b.analyzer
-	})
-	return out
-}
-
-// assemble completes the pipeline after per-package analysis: it rebuilds
-// the module-wide suppression set from the per-package directive states
-// (used flags included — they may have come from the cache), runs the
-// module-wide analyzers live, filters them against the set, runs the
-// staleignore pass over directives that silenced nothing anywhere, and
-// sorts. Module analyzers always run live: their evidence spans packages,
-// so a per-package cache key cannot witness them.
-func assemble(pkgs []*Package, analyzers []*Analyzer, raw []*pkgResult) []Finding {
-	enabled := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
 		enabled[a.Name] = true
 	}
+	sups, out := collectSuppressions(pkgs, known)
 
-	sups := make(suppressionSet)
-	var out []Finding
-	for _, res := range raw {
-		for _, d := range res.directives {
-			if e := sups[d.key]; e != nil {
-				e.used = e.used || d.used
-			} else {
-				sups[d.key] = &supEntry{pos: d.pos, used: d.used}
-			}
-		}
-		out = append(out, res.malformed...)
-		out = append(out, res.findings...)
-	}
-	var pending []Finding
+	var raw []Finding
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			pending = append(pending, a.RunModule(pkgs)...)
+		switch {
+		case a.Run != nil:
+			for _, p := range pkgs {
+				raw = append(raw, a.Run(p)...)
+			}
+		case a.RunModule != nil:
+			raw = append(raw, a.RunModule(pkgs)...)
 		}
 	}
-	for _, f := range pending {
+	for _, f := range raw {
 		if !sups.covers(f) {
 			out = append(out, f)
 		}
@@ -228,7 +137,9 @@ func assemble(pkgs []*Package, analyzers []*Analyzer, raw []*pkgResult) []Findin
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	// Stable, so findings on one line of one analyzer keep the order the
+	// analyzer reported them in.
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
 		}

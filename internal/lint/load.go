@@ -101,14 +101,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// Loaded returns the already type-checked package for a module-local
-// import path, or nil. The result cache resolves dependency closures
-// through it; anything the type checker pulled in is here, whether or not
-// it appeared in the CLI patterns.
-func (l *Loader) Loaded(importPath string) *Package {
-	return l.pkgs[importPath]
-}
-
 // LoadDir parses and type-checks the (non-test) package in dir.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	dir, err := filepath.Abs(dir)

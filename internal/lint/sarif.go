@@ -45,7 +45,7 @@ func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer, baseDir 
 		Schema:  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
 		Version: "2.1.0",
 		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "eslurmlint", Version: SchemaVersion, Rules: rules}},
+			Tool:    sarifTool{Driver: sarifDriver{Name: "eslurmlint", Rules: rules}},
 			Results: results,
 		}},
 	}
@@ -75,10 +75,11 @@ type sarifTool struct {
 	Driver sarifDriver `json:"driver"`
 }
 
+// sarifDriver carries no version: its rules list already names the rule
+// set that produced the log.
 type sarifDriver struct {
-	Name    string      `json:"name"`
-	Version string      `json:"version"`
-	Rules   []sarifRule `json:"rules"`
+	Name  string      `json:"name"`
+	Rules []sarifRule `json:"rules"`
 }
 
 type sarifRule struct {

@@ -69,54 +69,56 @@ func (s suppressionSet) unused(enabled map[string]bool) []suppression {
 	return keys
 }
 
-// collectSuppressions scans every comment in the package for
+// collectSuppressions scans every comment in the packages for
 // //eslurmlint:ignore directives. A directive must name known analyzers
 // (comma-separated) and give a non-empty reason; anything else is
 // reported as a finding of the pseudo-analyzer "suppress" so typos cannot
 // silently disable the gate. The harness-only //eslurmlint:testpath
 // directive is tolerated.
-func collectSuppressions(p *Package, known map[string]bool) (suppressionSet, []Finding) {
+func collectSuppressions(pkgs []*Package, known map[string]bool) (suppressionSet, []Finding) {
 	sups := make(suppressionSet)
 	var malformed []Finding
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "eslurmlint:")
-				if !ok {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					malformed = append(malformed, Finding{pos, "suppress", "empty eslurmlint directive"})
-					continue
-				}
-				switch fields[0] {
-				case "ignore":
-					names, allKnown := splitAnalyzerList(fields, known)
-					if !allKnown {
-						malformed = append(malformed, Finding{pos, "suppress",
-							"eslurmlint:ignore must name known analyzers (" + strings.Join(AnalyzerNames(), ", ") + "), comma-separated"})
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimPrefix(c.Text, "//")
+					text = strings.TrimSpace(text)
+					rest, ok := strings.CutPrefix(text, "eslurmlint:")
+					if !ok {
 						continue
 					}
-					if len(fields) < 3 {
-						malformed = append(malformed, Finding{pos, "suppress",
-							"eslurmlint:ignore " + fields[1] + " needs a reason explaining why the site is safe"})
+					pos := p.Fset.Position(c.Pos())
+					fields := strings.Fields(rest)
+					if len(fields) == 0 {
+						malformed = append(malformed, Finding{pos, "suppress", "empty eslurmlint directive"})
 						continue
 					}
-					for _, name := range names {
-						key := suppression{pos.Filename, pos.Line, name}
-						if sups[key] == nil {
-							sups[key] = &supEntry{pos: pos}
+					switch fields[0] {
+					case "ignore":
+						names, allKnown := splitAnalyzerList(fields, known)
+						if !allKnown {
+							malformed = append(malformed, Finding{pos, "suppress",
+								"eslurmlint:ignore must name known analyzers (" + strings.Join(AnalyzerNames(), ", ") + "), comma-separated"})
+							continue
 						}
+						if len(fields) < 3 {
+							malformed = append(malformed, Finding{pos, "suppress",
+								"eslurmlint:ignore " + fields[1] + " needs a reason explaining why the site is safe"})
+							continue
+						}
+						for _, name := range names {
+							key := suppression{pos.Filename, pos.Line, name}
+							if sups[key] == nil {
+								sups[key] = &supEntry{pos: pos}
+							}
+						}
+					case "testpath":
+						// Harness-only package-path override; inert in production runs.
+					default:
+						malformed = append(malformed, Finding{pos, "suppress",
+							"unknown eslurmlint directive " + fields[0]})
 					}
-				case "testpath":
-					// Harness-only package-path override; inert in production runs.
-				default:
-					malformed = append(malformed, Finding{pos, "suppress",
-						"unknown eslurmlint directive " + fields[0]})
 				}
 			}
 		}

@@ -33,7 +33,7 @@ func f() {
 	_ = 2 //eslurmlint:ignore walltime decorative timestamp
 }
 `)
-	sups, malformed := collectSuppressions(p, testKnownSet)
+	sups, malformed := collectSuppressions([]*Package{p}, testKnownSet)
 	if len(malformed) != 0 {
 		t.Fatalf("unexpected malformed findings: %v", malformed)
 	}
@@ -79,7 +79,7 @@ func TestSuppressionMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := parseOnly(t, "package x\n\n"+tc.src+"\nfunc f() {}\n")
-		sups, malformed := collectSuppressions(p, testKnownSet)
+		sups, malformed := collectSuppressions([]*Package{p}, testKnownSet)
 		if len(sups) != 0 {
 			t.Errorf("%q: malformed directive still registered a suppression", tc.src)
 		}
@@ -102,7 +102,7 @@ func TestSuppressionCommaList(t *testing.T) {
 //eslurmlint:ignore detrand,walltime fixture value, never reaches the simulation
 func f() {}
 `)
-	sups, malformed := collectSuppressions(p, testKnownSet)
+	sups, malformed := collectSuppressions([]*Package{p}, testKnownSet)
 	if len(malformed) != 0 {
 		t.Fatalf("unexpected malformed findings: %v", malformed)
 	}
@@ -136,7 +136,7 @@ func f() {}
 func TestSuppressionLastLine(t *testing.T) {
 	src := "package x\n\nfunc f() {}\n\n//eslurmlint:ignore detrand trailing fixture note"
 	p := parseOnly(t, src)
-	sups, malformed := collectSuppressions(p, testKnownSet)
+	sups, malformed := collectSuppressions([]*Package{p}, testKnownSet)
 	if len(malformed) != 0 {
 		t.Fatalf("unexpected malformed findings: %v", malformed)
 	}
@@ -160,7 +160,7 @@ func TestSuppressionUsedTracking(t *testing.T) {
 func f() {}
 `)
 	known := map[string]bool{"detrand": true, "walltime": true, "errdrop": true, "staleignore": true}
-	sups, _ := collectSuppressions(p, known)
+	sups, _ := collectSuppressions([]*Package{p}, known)
 	f := Finding{Analyzer: "detrand"}
 	f.Pos.Filename = "x.go"
 	f.Pos.Line = 4
@@ -176,7 +176,7 @@ func f() {}
 
 func TestSuppressionTestpathTolerated(t *testing.T) {
 	p := parseOnly(t, "//eslurmlint:testpath eslurm/cmd/x\npackage x\n")
-	_, malformed := collectSuppressions(p, testKnownSet)
+	_, malformed := collectSuppressions([]*Package{p}, testKnownSet)
 	if len(malformed) != 0 {
 		t.Fatalf("testpath directive reported as malformed: %v", malformed)
 	}
