@@ -3,6 +3,8 @@ package critpath_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -337,6 +339,24 @@ func TestParseRejectsTamperedDigest(t *testing.T) {
 	}
 	if _, err := critpath.Parse(strings.NewReader("not a report\n")); err == nil {
 		t.Fatal("Parse accepted garbage")
+	}
+	// A path line missing dur= or chain= under a valid digest: WriteText
+	// could not re-emit it, so Parse must refuse it.
+	for _, path := range []string{
+		`path 1 label="" group=""`,
+		`path 1 dur=1ms label="" group=""`,
+		`path 1 label="" group="" chain=a[1ms]`,
+	} {
+		body := "critpath report v1\n" +
+			"sources=1 spans=1 roots=1 open=0 orphans=0 instants=0\n" +
+			"total time=1ms retry=0s rebuild=0s retries=0 adopts=0\n" +
+			path + "\n"
+		h := fnv.New64a()
+		h.Write([]byte(body))
+		text := body + fmt.Sprintf("digest=%016x\n", h.Sum64())
+		if _, err := critpath.Parse(strings.NewReader(text)); err == nil {
+			t.Errorf("Parse accepted %q", path)
+		}
 	}
 }
 

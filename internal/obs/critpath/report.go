@@ -376,6 +376,7 @@ func parsePath(line string) (Path, error) {
 		rest = rest[i+1:]
 	}
 	var err error
+	var sawDur, sawChain bool
 	for rest != "" {
 		var f string
 		if strings.HasPrefix(rest, "label=") || strings.HasPrefix(rest, "group=") {
@@ -399,16 +400,23 @@ func parsePath(line string) (Path, error) {
 		}
 		switch k {
 		case "dur":
+			sawDur = true
 			p.Dur, err = time.ParseDuration(v)
 			if err != nil {
 				return Path{}, fmt.Errorf("critpath: bad dur in %q: %v", line, err)
 			}
 		case "chain":
+			sawChain = true
 			p.Chain, err = parseChain(v)
 			if err != nil {
 				return Path{}, fmt.Errorf("critpath: bad chain in %q: %v", line, err)
 			}
 		}
+	}
+	// WriteText always emits both; a path without them could be loaded
+	// but not written back.
+	if !sawDur || !sawChain {
+		return Path{}, fmt.Errorf("critpath: path line %q needs dur= and chain=", line)
 	}
 	return p, nil
 }
