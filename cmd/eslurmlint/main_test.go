@@ -88,9 +88,8 @@ func TestRunOnly(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag: an unknown flag is a usage error, including the
-// retired -j, -cache and -ownership (the run is one serial pass with no
-// result cache or ownership dump).
+// TestRunBadFlag: an unknown flag is a usage error; -j, -cache and
+// -ownership are not flags.
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},

@@ -21,8 +21,8 @@ var corpusModuleCases = [][]string{
 	{"randlabel_sup_a", "randlabel_sup_b"},
 }
 
-// corpusFindings runs every analyzer over every case, loaded the way
-// runModuleCase loads it, and renders the findings as
+// corpusFindings runs every analyzer over every case, loaded with
+// loadCase like the want harness, and renders the findings as
 // "file:line:col: [analyzer] message" with paths relative to
 // testdata/src, one "== case" header per case.
 func corpusFindings(t *testing.T) string {
@@ -39,26 +39,14 @@ func corpusFindings(t *testing.T) string {
 	}
 	cases = append(cases, corpusModuleCases...)
 
-	l := testLoader(t)
 	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	for _, names := range cases {
-		var pkgs []*Package
-		for _, n := range names {
-			p, err := l.LoadDir(filepath.Join("testdata", "src", n))
-			if err != nil {
-				t.Fatalf("loading %s: %v", n, err)
-			}
-			if tp, ok := testPathOverride(p); ok {
-				p.ImportPath = tp
-			}
-			pkgs = append(pkgs, p)
-		}
 		fmt.Fprintf(&b, "== %s\n", strings.Join(names, "+"))
-		for _, f := range Run(pkgs, Analyzers()) {
+		for _, f := range Run(loadCase(t, names), Analyzers()) {
 			rel, err := filepath.Rel(srcRoot, f.Pos.Filename)
 			if err != nil {
 				t.Fatal(err)

@@ -109,20 +109,10 @@ func runCase(t *testing.T, name string, analyzers ...*Analyzer) {
 // holds. Want comments are collected from every named directory.
 func runModuleCase(t *testing.T, names []string, analyzers ...*Analyzer) {
 	t.Helper()
-	l := testLoader(t)
-	var pkgs []*Package
+	pkgs := loadCase(t, names)
 	var wants []want
 	for _, n := range names {
-		dir := filepath.Join("testdata", "src", n)
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		if tp, ok := testPathOverride(p); ok {
-			p.ImportPath = tp
-		}
-		pkgs = append(pkgs, p)
-		wants = append(wants, parseWants(t, dir)...)
+		wants = append(wants, parseWants(t, filepath.Join("testdata", "src", n))...)
 	}
 	name := strings.Join(names, "+")
 	got := Run(pkgs, analyzers)
@@ -156,6 +146,26 @@ func runModuleCase(t *testing.T, names []string, analyzers ...*Analyzer) {
 		}
 		t.Logf("all findings for %s:\n%s", name, strings.Join(all, "\n"))
 	}
+}
+
+// loadCase loads the named testdata/src packages with the shared loader,
+// applying each one's //eslurmlint:testpath override.
+func loadCase(t *testing.T, names []string) []*Package {
+	t.Helper()
+	l := testLoader(t)
+	var pkgs []*Package
+	for _, n := range names {
+		dir := filepath.Join("testdata", "src", n)
+		p, err := l.LoadDir(dir)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		if tp, ok := testPathOverride(p); ok {
+			p.ImportPath = tp
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
 }
 
 func TestWalltime(t *testing.T) {
