@@ -89,7 +89,7 @@ func TestSendHealthy(t *testing.T) {
 	c := newTestCluster(t, 2, 0)
 	a, b := c.Computes()[0], c.Computes()[1]
 	delivered, failed := false, false
-	c.Net.Send(a, b, 1000, func() { delivered = true }, func() { failed = true })
+	c.Net.Send(a, b, 1000, funcs{func() { delivered = true }, func() { failed = true }})
 	c.Engine.Run()
 	if !delivered || failed {
 		t.Fatalf("delivered=%v failed=%v", delivered, failed)
@@ -113,7 +113,7 @@ func TestSendToFailedTimesOut(t *testing.T) {
 	c.Fail(b)
 	var failedAt time.Duration
 	delivered := false
-	c.Net.Send(a, b, 100, func() { delivered = true }, func() { failedAt = c.Engine.Now() })
+	c.Net.Send(a, b, 100, funcs{func() { delivered = true }, func() { failedAt = c.Engine.Now() }})
 	c.Engine.Run()
 	if delivered {
 		t.Fatal("delivered to failed node")
@@ -130,7 +130,7 @@ func TestSendFailsMidFlight(t *testing.T) {
 	c := newTestCluster(t, 2, 0)
 	a, b := c.Computes()[0], c.Computes()[1]
 	delivered, failed := false, false
-	c.Net.Send(a, b, 1<<20, func() { delivered = true }, func() { failed = true })
+	c.Net.Send(a, b, 1<<20, funcs{func() { delivered = true }, func() { failed = true }})
 	// Fail the destination before the (large) message can arrive.
 	c.Engine.After(100*time.Microsecond, func() { c.Fail(b) })
 	c.Engine.Run()
@@ -152,7 +152,7 @@ func TestSendPersistentNoSocketChurn(t *testing.T) {
 	c := newTestCluster(t, 2, 0)
 	a, b := c.Computes()[0], c.Computes()[1]
 	delivered := false
-	c.Net.SendPersistent(a, b, 100, func() { delivered = true }, nil)
+	c.Net.SendPersistent(a, b, 100, funcs{func() { delivered = true }, nil})
 	c.Engine.Run()
 	if !delivered {
 		t.Fatal("not delivered")
@@ -238,11 +238,11 @@ func TestPropertyDeliveryTimeGrowsWithSize(t *testing.T) {
 		c := New(e, Config{Computes: 2, Net: NetConfig{Jitter: time.Nanosecond}})
 		a, b := c.Computes()[0], c.Computes()[1]
 		var small, big time.Duration
-		c.Net.Send(a, b, 10, func() { small = e.Now() }, nil)
+		c.Net.Send(a, b, 10, funcs{func() { small = e.Now() }, nil})
 		e.Run()
 		e2 := simnet.NewEngine(5)
 		c2 := New(e2, Config{Computes: 2, Net: NetConfig{Jitter: time.Nanosecond}})
-		c2.Net.Send(a, b, int(sz%(1<<22))+10, func() { big = e2.Now() }, nil)
+		c2.Net.Send(a, b, int(sz%(1<<22))+10, funcs{func() { big = e2.Now() }, nil})
 		e2.Run()
 		return big >= small
 	}

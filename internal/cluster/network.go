@@ -138,6 +138,8 @@ type Network struct {
 	partitions []*partition
 
 	deliverObs func(from, to NodeID, size int)
+
+	free []*message // messages whose events have all fired
 }
 
 func newNetwork(c *Cluster, cfg NetConfig) *Network {
@@ -298,138 +300,168 @@ func (n *Network) unreachable(from, to NodeID) bool {
 	return n.cluster.Node(to).failed || n.Severed(from, to)
 }
 
+// Receiver is told how one message ended. Delivered runs at the delivery
+// instant (twice under duplication — receivers dedup); Failed runs when
+// the sender gives up on it.
+type Receiver interface {
+	Delivered()
+	Failed()
+}
+
 // Send models one message from -> to carrying size bytes.
 //
-// If the destination is reachable at delivery time, onDelivered fires at
+// If the destination is reachable at delivery time, r.Delivered fires at
 // the delivery instant (twice under duplication — receivers dedup). If
 // the destination is failed or partitioned away (at send or delivery
-// time), or the message is lost in transit, onFailed fires after the
+// time), or the message is lost in transit, r.Failed fires after the
 // connect timeout — the sender blocks for the timeout, exactly the
 // behaviour that makes failed interior tree nodes expensive (Section IV).
-// Either callback may be nil. Sockets and message counters on both meters
-// are maintained here so every RM model accounts traffic uniformly.
-func (n *Network) Send(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	e := n.cluster.Engine
-	src := n.cluster.Node(from)
-	dst := n.cluster.Node(to)
-
-	src.Meter.CountMessage(true, size)
-	src.Meter.OpenSocket()
-
-	fail := func(after time.Duration) {
-		e.After(after, func() {
-			src.Meter.CloseSocket()
-			if onFailed != nil {
-				onFailed()
-			}
-		})
-	}
-
-	if n.unreachable(from, to) || n.lost() {
-		fail(n.cfg.ConnectTimeout)
-		return
-	}
-
-	factor := n.pathFactor(from, to)
-	d := scale(n.cfg.ConnectCost, factor) + scale(n.TransferTime(size), factor)
-	if n.cfg.Jitter > 0 {
-		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
-	}
-	e.After(d, func() {
-		// The destination may have failed — or been partitioned away —
-		// while the message was in flight.
-		if n.unreachable(from, to) {
-			// Remaining time until the sender's timeout expires.
-			fail(n.cfg.ConnectTimeout - d)
-			return
-		}
-		dst.Meter.CountMessage(false, size)
-		dst.Meter.OpenSocket()
-		src.Meter.CloseSocket()
-		// The receiving daemon holds its accept socket briefly while
-		// processing.
-		e.After(n.cfg.Latency, func() { dst.Meter.CloseSocket() })
-		if n.deliverObs != nil {
-			n.deliverObs(from, to, size)
-		}
-		if onDelivered != nil {
-			onDelivered()
-		}
-		if n.duplicated() {
-			// Retransmission after a lost ack: the same payload lands a
-			// second time one latency later. No socket churn — the
-			// duplicate rides the same accept — but the receiver's message
-			// counter and callback both fire again.
-			e.After(n.cfg.Latency, func() {
-				if n.unreachable(from, to) {
-					return
-				}
-				dst.Meter.CountMessage(false, size)
-				if n.deliverObs != nil {
-					n.deliverObs(from, to, size)
-				}
-				if onDelivered != nil {
-					onDelivered()
-				}
-			})
-		}
-	})
+// r may be nil. Sockets and message counters on both meters are
+// maintained here so every RM model accounts traffic uniformly.
+func (n *Network) Send(from, to NodeID, size int, r Receiver) {
+	n.send(from, to, size, r, false)
 }
 
 // SendPersistent models traffic over an already-established long-lived
 // connection (e.g. SGE's persistent execd channels): no connect cost and no
 // per-message socket churn — the caller is responsible for having opened
 // the socket once. The adversarial model (loss, duplication, partitions,
-// gray slowdown) applies exactly as in Send.
-func (n *Network) SendPersistent(from, to NodeID, size int, onDelivered func(), onFailed func()) {
-	e := n.cluster.Engine
-	src := n.cluster.Node(from)
-	dst := n.cluster.Node(to)
-	src.Meter.CountMessage(true, size)
+// gray slowdown) applies exactly as in Send, except that a destination
+// found unreachable at delivery time fails the message at once: there is
+// no connect to time out.
+func (n *Network) SendPersistent(from, to NodeID, size int, r Receiver) {
+	n.send(from, to, size, r, true)
+}
 
-	fail := func(after time.Duration) {
-		e.After(after, func() {
-			if onFailed != nil {
-				onFailed()
-			}
-		})
+// Message event op codes: a message is the simnet.Handler of every event
+// it schedules.
+const (
+	opArrive   uint8 = iota // the payload reaches the destination
+	opFail                  // the sender's timeout expires
+	opCloseDst              // the receiver's accept socket closes
+	opDup                   // a duplicate of the payload lands
+)
+
+// message is one in-flight message. It is pooled per Network: pending
+// counts its scheduled events, and the last one to fire returns it.
+type message struct {
+	n          *Network
+	src, dst   *Node
+	size       int
+	d          time.Duration // transfer time drawn at send
+	persistent bool
+	r          Receiver
+	pending    int
+}
+
+func (n *Network) send(from, to NodeID, size int, r Receiver, persistent bool) {
+	m := n.newMessage()
+	m.src, m.dst, m.size, m.r, m.persistent = n.cluster.Node(from), n.cluster.Node(to), size, r, persistent
+
+	m.src.Meter.CountMessage(true, size)
+	if !persistent {
+		m.src.Meter.OpenSocket()
 	}
-
 	if n.unreachable(from, to) || n.lost() {
-		fail(n.cfg.ConnectTimeout)
+		m.after(n.cfg.ConnectTimeout, opFail)
 		return
 	}
-	d := scale(n.TransferTime(size), n.pathFactor(from, to))
+	d := n.TransferTime(size)
+	if persistent {
+		d = scale(d, n.pathFactor(from, to))
+	} else {
+		factor := n.pathFactor(from, to)
+		d = scale(n.cfg.ConnectCost, factor) + scale(d, factor)
+	}
 	if n.cfg.Jitter > 0 {
 		d += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
 	}
-	e.After(d, func() {
-		if n.unreachable(from, to) {
-			if onFailed != nil {
-				onFailed()
+	m.d = d
+	m.after(d, opArrive)
+}
+
+func (n *Network) newMessage() *message {
+	if k := len(n.free); k > 0 {
+		m := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return m
+	}
+	return &message{n: n}
+}
+
+// after schedules one of the message's events.
+func (m *message) after(d time.Duration, op uint8) {
+	m.pending++
+	m.n.cluster.Engine.AfterHandler(d, m, op)
+}
+
+// Fire implements simnet.Handler.
+func (m *message) Fire(op uint8) {
+	m.pending--
+	switch op {
+	case opArrive:
+		m.arrive()
+	case opFail:
+		if !m.persistent {
+			m.src.Meter.CloseSocket()
+		}
+		if m.r != nil {
+			m.r.Failed()
+		}
+	case opCloseDst:
+		m.dst.Meter.CloseSocket()
+	case opDup:
+		// Retransmission after a lost ack: the same payload lands a second
+		// time one latency after the original. No socket churn — the
+		// duplicate rides the same accept — but the receiver's message
+		// counter and callback both fire again.
+		if !m.n.unreachable(m.src.ID, m.dst.ID) {
+			m.deliver()
+		}
+	}
+	if m.pending == 0 {
+		*m = message{n: m.n}
+		m.n.free = append(m.n.free, m)
+	}
+}
+
+func (m *message) arrive() {
+	n := m.n
+	// The destination may have failed — or been partitioned away — while
+	// the message was in flight.
+	if n.unreachable(m.src.ID, m.dst.ID) {
+		if m.persistent {
+			if m.r != nil {
+				m.r.Failed()
 			}
 			return
 		}
-		dst.Meter.CountMessage(false, size)
-		if n.deliverObs != nil {
-			n.deliverObs(from, to, size)
-		}
-		if onDelivered != nil {
-			onDelivered()
-		}
-		if n.duplicated() {
-			e.After(n.cfg.Latency, func() {
-				if n.unreachable(from, to) {
-					return
-				}
-				dst.Meter.CountMessage(false, size)
-				if n.deliverObs != nil {
-					n.deliverObs(from, to, size)
-				}
-				if onDelivered != nil {
-					onDelivered()
-				}
-			})
-		}
-	})
+		// Remaining time until the sender's timeout expires.
+		m.after(n.cfg.ConnectTimeout-m.d, opFail)
+		return
+	}
+	if !m.persistent {
+		m.dst.Meter.OpenSocket()
+		m.src.Meter.CloseSocket()
+		// The receiving daemon holds its accept socket briefly while
+		// processing.
+		m.after(n.cfg.Latency, opCloseDst)
+	}
+	m.deliver()
+	if n.duplicated() {
+		m.after(n.cfg.Latency, opDup)
+	}
+}
+
+// deliver counts one arrival of the payload and tells the observer and
+// the receiver.
+func (m *message) deliver() {
+	m.dst.Meter.CountMessage(false, m.size)
+	if m.n.deliverObs != nil {
+		m.n.deliverObs(m.src.ID, m.dst.ID, m.size)
+	}
+	if m.r != nil {
+		m.r.Delivered()
+	}
 }

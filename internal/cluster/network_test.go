@@ -7,6 +7,21 @@ import (
 	"eslurm/internal/simnet"
 )
 
+// funcs adapts a pair of test closures to Receiver; either may be nil.
+type funcs struct{ delivered, failed func() }
+
+func (f funcs) Delivered() {
+	if f.delivered != nil {
+		f.delivered()
+	}
+}
+
+func (f funcs) Failed() {
+	if f.failed != nil {
+		f.failed()
+	}
+}
+
 func newNetCluster(t *testing.T, computes int, net NetConfig) *Cluster {
 	t.Helper()
 	e := simnet.NewEngine(13)
@@ -56,7 +71,7 @@ func TestLossLooksLikeDeadPeer(t *testing.T) {
 	a, b := c.Computes()[0], c.Computes()[1]
 	delivered := false
 	var failedAt time.Duration
-	c.Net.Send(a, b, 100, func() { delivered = true }, func() { failedAt = c.Engine.Now() })
+	c.Net.Send(a, b, 100, funcs{func() { delivered = true }, func() { failedAt = c.Engine.Now() }})
 	c.Engine.Run()
 	if delivered {
 		t.Fatal("message delivered with LossProb=1")
@@ -78,7 +93,7 @@ func TestDupDeliversTwice(t *testing.T) {
 			arrivals++
 		}
 	})
-	c.Net.Send(a, b, 100, func() { acks++ }, func() { t.Error("send failed") })
+	c.Net.Send(a, b, 100, funcs{func() { acks++ }, func() { t.Error("send failed") }})
 	c.Engine.Run()
 	if arrivals != 2 {
 		t.Errorf("receiver saw %d arrivals, want 2", arrivals)
@@ -98,7 +113,7 @@ func TestGrayNodeSlowsDelivery(t *testing.T) {
 			c.Net.SetGray(b, gray)
 		}
 		var at time.Duration
-		c.Net.Send(a, b, 100000, func() { at = c.Engine.Now() }, func() { t.Error("send failed") })
+		c.Net.Send(a, b, 100000, funcs{func() { at = c.Engine.Now() }, func() { t.Error("send failed") }})
 		c.Engine.Run()
 		if at == 0 {
 			t.Fatal("no delivery")
@@ -126,10 +141,10 @@ func TestLinkDegradeIsDirectional(t *testing.T) {
 	a, b := c.Computes()[0], c.Computes()[1]
 	c.Net.SetLinkDegrade(a, b, 8)
 	var fwd, rev time.Duration
-	c.Net.Send(a, b, 100000, func() { fwd = c.Engine.Now() }, func() { t.Error("fwd failed") })
+	c.Net.Send(a, b, 100000, funcs{func() { fwd = c.Engine.Now() }, func() { t.Error("fwd failed") }})
 	c.Engine.Run()
 	start := c.Engine.Now()
-	c.Net.Send(b, a, 100000, func() { rev = c.Engine.Now() - start }, func() { t.Error("rev failed") })
+	c.Net.Send(b, a, 100000, funcs{func() { rev = c.Engine.Now() - start }, func() { t.Error("rev failed") }})
 	c.Engine.Run()
 	if fwd <= rev {
 		t.Fatalf("degraded direction (%v) not slower than clean reverse (%v)", fwd, rev)
@@ -145,8 +160,8 @@ func TestPartitionSeversAndHealsSends(t *testing.T) {
 	c.Net.Partition([]NodeID{in1, in2}, time.Minute)
 
 	okInside, failAcross := false, false
-	c.Net.Send(in1, in2, 100, func() { okInside = true }, func() { t.Error("intra-partition send failed") })
-	c.Net.Send(in1, out, 100, func() { t.Error("cross-partition send delivered") }, func() { failAcross = true })
+	c.Net.Send(in1, in2, 100, funcs{func() { okInside = true }, func() { t.Error("intra-partition send failed") }})
+	c.Net.Send(in1, out, 100, funcs{func() { t.Error("cross-partition send delivered") }, func() { failAcross = true }})
 	c.Engine.RunUntil(30 * time.Second)
 	if !okInside || !failAcross {
 		t.Fatalf("okInside=%v failAcross=%v", okInside, failAcross)
@@ -157,7 +172,7 @@ func TestPartitionSeversAndHealsSends(t *testing.T) {
 
 	c.Engine.RunUntil(2 * time.Minute) // heal fires at 1m
 	healed := false
-	c.Net.Send(in1, out, 100, func() { healed = true }, func() { t.Error("send failed after heal") })
+	c.Net.Send(in1, out, 100, funcs{func() { healed = true }, func() { t.Error("send failed after heal") }})
 	c.Engine.Run()
 	if !healed {
 		t.Fatal("boundary still severed after heal")
@@ -179,7 +194,7 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 	// Baseline intra-pair latency before any fault.
 	var healthy time.Duration
 	start := c.Engine.Now()
-	c.Net.Send(in1, in2, 100000, func() { healthy = c.Engine.Now() - start }, func() { t.Error("baseline send failed") })
+	c.Net.Send(in1, in2, 100000, funcs{func() { healthy = c.Engine.Now() - start }, func() { t.Error("baseline send failed") }})
 	c.Engine.Run()
 
 	c.Net.Partition([]NodeID{in1, in2}, time.Hour)
@@ -193,11 +208,11 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 
 	// Cross-boundary send to the gray member still fails — severed wins.
 	crossFailed := false
-	c.Net.Send(out, in2, 100, func() { t.Error("cross-partition send delivered to gray member") }, func() { crossFailed = true })
+	c.Net.Send(out, in2, 100, funcs{func() { t.Error("cross-partition send delivered to gray member") }, func() { crossFailed = true }})
 	// Intra-partition send to the gray member is delivered, but slowed.
 	var grayed time.Duration
 	start = c.Engine.Now()
-	c.Net.Send(in1, in2, 100000, func() { grayed = c.Engine.Now() - start }, func() { t.Error("intra-partition send to gray member failed") })
+	c.Net.Send(in1, in2, 100000, funcs{func() { grayed = c.Engine.Now() - start }, func() { t.Error("intra-partition send to gray member failed") }})
 	c.Engine.RunUntil(c.Engine.Now() + 30*time.Second)
 	if !crossFailed {
 		t.Fatal("severed boundary did not fail the send")
@@ -217,7 +232,7 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 	}
 	var healedCross time.Duration
 	start = c.Engine.Now()
-	c.Net.Send(out, in2, 100000, func() { healedCross = c.Engine.Now() - start }, func() { t.Error("send failed after HealAll") })
+	c.Net.Send(out, in2, 100000, funcs{func() { healedCross = c.Engine.Now() - start }, func() { t.Error("send failed after HealAll") }})
 	c.Engine.Run()
 	if healedCross <= 0 {
 		t.Fatal("no delivery after HealAll")
@@ -231,7 +246,7 @@ func TestGrayOnSeveredMemberAndHealAll(t *testing.T) {
 	}
 	var restored time.Duration
 	start = c.Engine.Now()
-	c.Net.Send(in1, in2, 100000, func() { restored = c.Engine.Now() - start }, func() { t.Error("send failed after ClearGray") })
+	c.Net.Send(in1, in2, 100000, funcs{func() { restored = c.Engine.Now() - start }, func() { t.Error("send failed after ClearGray") }})
 	c.Engine.Run()
 	if restored >= grayed {
 		t.Fatalf("latency not restored after ClearGray: %v >= grayed %v", restored, grayed)
@@ -249,7 +264,7 @@ func TestDisabledFeaturesDrawNoRandomness(t *testing.T) {
 		var at []time.Duration
 		c.Net.OnDeliver(func(from, to NodeID, size int) { at = append(at, e.Now()) })
 		for _, id := range c.Computes() {
-			c.Net.Send(c.Satellites()[0], id, 1000, func() {}, func() {})
+			c.Net.Send(c.Satellites()[0], id, 1000, funcs{func() {}, func() {}})
 		}
 		e.Run()
 		return at

@@ -84,9 +84,13 @@ type Config struct {
 // New builds a cluster with one master node (ID 0), Config.Satellites
 // satellite nodes (IDs 1..S) and Config.Computes compute nodes after them.
 func New(e *simnet.Engine, cfg Config) *Cluster {
-	c := &Cluster{Engine: e}
+	// The nodes live in one block: a cluster is built per simulation, and
+	// one allocation instead of one per node keeps construction cheap.
+	block := make([]Node, 1+cfg.Satellites+cfg.Computes)
+	c := &Cluster{Engine: e, nodes: make([]*Node, 0, len(block))}
 	add := func(role Role) *Node {
-		n := &Node{ID: NodeID(len(c.nodes)), Role: role}
+		n := &block[len(c.nodes)]
+		n.ID, n.Role = NodeID(len(c.nodes)), role
 		n.Meter.engine = e
 		c.nodes = append(c.nodes, n)
 		return n

@@ -205,12 +205,27 @@ func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
 
 func (b *Broadcaster) engine() *simnet.Engine { return b.Cluster.Engine }
 
-// limiter serializes access to a sender's connection slots.
+// limiter serializes access to a sender's connection slots. Chains that
+// find every slot taken wait in FIFO order in queue[head:]; the storage
+// is reused instead of regrown, once the line empties or once the served
+// prefix is at least half of a full slice.
 type limiter struct {
 	max   int
 	inUse int
-	queue []func()
+	queue []waiter
+	head  int
 }
+
+// waiter is a delivery chain waiting for a connection slot; start runs
+// once the slot is granted.
+type waiter interface {
+	start()
+}
+
+// waitFunc adapts a closure to waiter.
+type waitFunc func()
+
+func (f waitFunc) start() { f() }
 
 func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
 	l, ok := b.limiters[id]
@@ -221,20 +236,29 @@ func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
 	return l
 }
 
-func (l *limiter) acquire(fn func()) {
+func (l *limiter) acquire(w waiter) {
 	if l.inUse < l.max {
 		l.inUse++
-		fn()
+		w.start()
 		return
 	}
-	l.queue = append(l.queue, fn)
+	if len(l.queue) == cap(l.queue) && 2*l.head >= len(l.queue) {
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, w)
 }
 
 func (l *limiter) release() {
-	if len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[1:]
-		next()
+	if l.head < len(l.queue) {
+		next := l.queue[l.head]
+		l.queue[l.head] = nil
+		l.head++
+		if l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
+		}
+		next.start()
 		return
 	}
 	l.inUse--
@@ -270,86 +294,149 @@ func (b *Broadcaster) retryDelay(next int) time.Duration {
 	return d
 }
 
+// resolver receives a delivery chain's outcome. A broadcast's tracker is
+// one, so a star target needs no closure of its own; okFunc adapts the
+// closures of the relay structures.
+type resolver interface {
+	resolve(to cluster.NodeID, ok bool)
+}
+
+// okFunc adapts a closure that needs only the outcome to resolver.
+type okFunc func(ok bool)
+
+func (f okFunc) resolve(_ cluster.NodeID, ok bool) { f(ok) }
+
 // send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution. cb receives true on delivery,
-// exactly once: duplicated deliveries (NetConfig.DupProb) are deduplicated
-// here, so Delivered never double-counts a target. parent, when tracing
+// the sender from dispatch until resolution. r receives the outcome
+// exactly once: duplicated deliveries (NetConfig.DupProb) are
+// deduplicated here, so Delivered never double-counts a target. res, when
+// non-nil, counts the chain's messages and retries. parent, when tracing
 // is enabled, parents the delivery-chain span (comm.send) under the
 // broadcast that issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, cb func(ok bool)) {
-	e := b.engine()
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, r resolver) {
+	b.sendChain(new(chain), from, to, size, res, parent, r)
+}
+
+// sendChain is send on a caller-supplied chain, so a star can allocate
+// the chains of all its targets in one block.
+func (b *Broadcaster) sendChain(c *chain, from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, r resolver) {
 	in := b.inst()
-	lim := b.limiter(from)
 	in.outstanding.Add(1)
-	tr := e.Tracer()
-	span := tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
-	lim.acquire(func() {
-		attempts := 0
-		resolved := false
-		chainStart := e.Now()
-		settle := func(ok bool) {
-			resolved = true
-			in.outstanding.Add(-1)
-			tr.SetAttrInt(span, "attempts", attempts)
-			if !ok {
-				tr.SetAttr(span, "ok", "false")
-			}
-			tr.End(span)
-			lim.release()
-			cb(ok)
+	*c = chain{b: b, from: from, to: to, size: size, res: res, r: r, lim: b.limiter(from)}
+	if tr := b.engine().Tracer(); tr != nil {
+		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
+	}
+	c.lim.acquire(c)
+}
+
+// Chain event op codes.
+const (
+	opDispatch uint8 = iota // the send overhead has elapsed: put the attempt on the wire
+	opBackoff               // the retry backoff has elapsed
+)
+
+// chain is one delivery chain: every attempt, backoff and the final
+// outcome of one message from one sender to one target. It is the
+// limiter's waiter, the simnet.Handler of its dispatch and backoff
+// events, and the cluster.Receiver of each attempt's message.
+type chain struct {
+	b        *Broadcaster
+	from, to cluster.NodeID
+	size     int
+	res      *Result
+	r        resolver
+	lim      *limiter
+	span     obs.SpanID
+	began    time.Duration // when the chain got its connection slot
+	attempts int
+	resolved bool
+}
+
+// start implements waiter: the chain has its connection slot.
+func (c *chain) start() {
+	c.began = c.b.engine().Now()
+	c.attempt()
+}
+
+func (c *chain) attempt() {
+	b := c.b
+	in := b.inst()
+	c.attempts++
+	in.messages.Inc()
+	if c.res != nil {
+		c.res.Messages++
+	}
+	if c.attempts > 1 {
+		in.retries.Inc()
+		if c.res != nil {
+			c.res.Retries++
 		}
-		var attempt func()
-		attempt = func() {
-			attempts++
-			res.Messages++
-			in.messages.Inc()
-			if attempts > 1 {
-				res.Retries++
-				in.retries.Inc()
-				tr.Instant("comm.retry", span, obs.Int("attempt", attempts))
-			}
-			b.Cluster.Node(from).Meter.ChargeCPU(b.SendOverhead)
-			e.After(b.SendOverhead, func() {
-				b.Cluster.Net.Send(from, to, size,
-					func() { // delivered (possibly again: dedup)
-						if resolved {
-							return
-						}
-						settle(true)
-					},
-					func() { // attempt failed
-						if resolved {
-							return
-						}
-						if attempts < b.maxAttempts() && !b.pastDeadline(chainStart) {
-							if d := b.retryDelay(attempts + 1); d > 0 {
-								// Re-check the deadline when the backoff
-								// timer fires: a Deadline expiring
-								// mid-backoff must resolve the chain
-								// (exactly once, via the resolved guard)
-								// rather than launch an attempt past the
-								// documented budget.
-								e.After(d, func() {
-									if resolved {
-										return
-									}
-									if b.pastDeadline(chainStart) {
-										settle(false)
-										return
-									}
-									attempt()
-								})
-							} else {
-								attempt()
-							}
-							return
-						}
-						settle(false)
-					})
-			})
+		if tr := b.engine().Tracer(); tr != nil {
+			tr.Instant("comm.retry", c.span, obs.Int("attempt", c.attempts))
 		}
-		attempt()
-	})
+	}
+	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
+	b.engine().AfterHandler(b.SendOverhead, c, opDispatch)
+}
+
+// Fire implements simnet.Handler.
+func (c *chain) Fire(op uint8) {
+	switch op {
+	case opDispatch:
+		c.b.Cluster.Net.Send(c.from, c.to, c.size, c)
+	case opBackoff:
+		// Re-check the deadline when the backoff timer fires: a Deadline
+		// expiring mid-backoff must resolve the chain (exactly once, via
+		// the resolved guard) rather than launch an attempt past the
+		// documented budget.
+		if c.resolved {
+			return
+		}
+		if c.b.pastDeadline(c.began) {
+			c.settle(false)
+			return
+		}
+		c.attempt()
+	}
+}
+
+// Delivered implements cluster.Receiver; a duplicate is ignored.
+func (c *chain) Delivered() {
+	if !c.resolved {
+		c.settle(true)
+	}
+}
+
+// Failed implements cluster.Receiver: retry within the policy's budget,
+// otherwise resolve the target unreachable.
+func (c *chain) Failed() {
+	if c.resolved {
+		return
+	}
+	b := c.b
+	if c.attempts < b.maxAttempts() && !b.pastDeadline(c.began) {
+		if d := b.retryDelay(c.attempts + 1); d > 0 {
+			b.engine().AfterHandler(d, c, opBackoff)
+		} else {
+			c.attempt()
+		}
+		return
+	}
+	c.settle(false)
+}
+
+func (c *chain) settle(ok bool) {
+	c.resolved = true
+	c.b.inst().outstanding.Add(-1)
+	if tr := c.b.engine().Tracer(); tr != nil {
+		tr.SetAttrInt(c.span, "attempts", c.attempts)
+		if !ok {
+			tr.SetAttr(c.span, "ok", "false")
+		}
+		tr.End(c.span)
+	}
+	c.lim.release()
+	c.r.resolve(c.to, ok)
 }
 
 // pastDeadline reports whether a delivery chain begun at start has
@@ -381,10 +468,9 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 // master↔satellite task hand-offs and heartbeats. The delivery-chain
 // span, if tracing is on, is parented under the consumed SpanParent.
 func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
-	var scratch Result
 	parent := b.SpanParent
 	b.SpanParent = 0
-	b.send(from, to, size, &scratch, parent, cb)
+	b.send(from, to, size, nil, parent, okFunc(cb))
 }
 
 // tracker counts outstanding deliveries and finalizes the Result. It
@@ -405,15 +491,18 @@ func newTracker(b *Broadcaster, structure string, pending int, done func(Result)
 	t := &tracker{b: b, engine: e, start: e.Now(), pending: pending, done: done}
 	parent := b.SpanParent
 	b.SpanParent = 0
-	t.span = e.Tracer().Start("comm.broadcast", parent,
-		obs.String("structure", structure), obs.Int("targets", pending))
+	if tr := e.Tracer(); tr != nil {
+		t.span = tr.Start("comm.broadcast", parent,
+			obs.String("structure", structure), obs.Int("targets", pending))
+	}
 	if pending == 0 {
 		t.finish()
 	}
 	return t
 }
 
-func (t *tracker) resolve(res *Result, id cluster.NodeID, ok bool) {
+func (t *tracker) resolve(id cluster.NodeID, ok bool) {
+	res := &t.res
 	if t.b.OnResolve != nil {
 		t.b.OnResolve(id, ok)
 	}
@@ -475,9 +564,9 @@ func (Star) Name() string { return "star" }
 // Broadcast implements Structure.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
 	t := newTracker(b, "star", len(targets), done)
-	for _, id := range targets {
-		id := id
-		b.send(origin, id, size, &t.res, t.span, func(ok bool) { t.resolve(&t.res, id, ok) })
+	chains := make([]chain, len(targets))
+	for i, id := range targets {
+		b.sendChain(&chains[i], origin, id, size, &t.res, t.span, t)
 	}
 }
 
@@ -503,8 +592,8 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 		to := ids[idx]
 		// The relay message carries the remaining list.
 		sz := size + (len(ids)-idx)*b.PerNodeListBytes
-		b.send(from, to, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, to, ok)
+		b.send(from, to, sz, &t.res, t.span, okFunc(func(ok bool) {
+			t.resolve(to, ok)
 			if ok {
 				d := b.relayDelay(to)
 				b.Cluster.Node(to).Meter.ChargeCPU(d)
@@ -513,7 +602,7 @@ func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.N
 				// Skip the dead node: the same sender tries its successor.
 				hop(from, idx+1)
 			}
-		})
+		}))
 	}
 	hop(origin, 0)
 }
@@ -554,7 +643,7 @@ func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cl
 			// A failed node never issues its fetch; the service notices
 			// the missing ack after its timeout when collecting results.
 			e.After(timeout, func() {
-				t.resolve(&t.res, id, false)
+				t.resolve(id, false)
 			})
 			continue
 		}
@@ -567,11 +656,11 @@ func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cl
 			// (a mid-broadcast failure): its fetch never happens and the
 			// service notices the missing ack after its timeout.
 			if b.Cluster.Node(id).Failed() {
-				e.After(timeout, func() { t.resolve(&t.res, id, false) })
+				e.After(timeout, func() { t.resolve(id, false) })
 				return
 			}
 			b.Cluster.Node(id).Meter.CountMessage(false, size)
-			t.resolve(&t.res, id, true)
+			t.resolve(id, true)
 		})
 	}
 }
@@ -628,8 +717,8 @@ func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *
 	}
 	dispatch = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
 		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, n.Value, ok)
+		b.send(from, n.Value, sz, &t.res, t.span, okFunc(func(ok bool) {
+			t.resolve(n.Value, ok)
 			if ok {
 				if len(n.Children) == 0 {
 					return
@@ -645,14 +734,14 @@ func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *
 			}
 			// Fault tolerance: the parent adopts the failed child's
 			// children and contacts them directly.
-			if len(n.Children) > 0 {
-				e.Tracer().Instant("comm.adopt", t.span,
+			if tr := e.Tracer(); tr != nil && len(n.Children) > 0 {
+				tr.Instant("comm.adopt", t.span,
 					obs.Int("failed", int(n.Value)), obs.Int("children", len(n.Children)))
 			}
 			for _, ch := range n.Children {
 				dispatch(from, ch)
 			}
-		})
+		}))
 	}
 	for _, r := range tr.Roots {
 		dispatch(origin, r)
@@ -781,8 +870,8 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		}
 		head := ids[lo]
 		sz := size + (hi-lo)*b.PerNodeListBytes
-		b.send(holder, head, sz, &t.res, t.span, func(ok bool) {
-			t.resolve(&t.res, head, ok)
+		b.send(holder, head, sz, &t.res, t.span, okFunc(func(ok bool) {
+			t.resolve(head, ok)
 			mid := lo + 1 + (hi-lo-1)/2
 			if ok {
 				d := b.relayDelay(head)
@@ -792,13 +881,13 @@ func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 				return
 			}
 			// Fault tolerance: the holder keeps both halves.
-			if hi-lo > 1 {
-				b.engine().Tracer().Instant("comm.adopt", t.span,
+			if tr := b.engine().Tracer(); tr != nil && hi-lo > 1 {
+				tr.Instant("comm.adopt", t.span,
 					obs.Int("failed", int(head)), obs.Int("children", hi-lo-1))
 			}
 			relay(holder, mid, hi)
 			relay(holder, lo+1, mid)
-		})
+		}))
 	}
 	relay(origin, 0, len(ids))
 }

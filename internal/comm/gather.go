@@ -110,7 +110,7 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 	var visit func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply))
 	visit = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply)) {
 		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &res.Result, span, func(delivered bool) {
+		b.send(from, n.Value, sz, &res.Result, span, okFunc(func(delivered bool) {
 			if !delivered {
 				// Adoption: `from` contacts the dead child's children
 				// directly and merges their replies itself.
@@ -148,7 +148,7 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 				// degraded to local bookkeeping so the gather still
 				// terminates.
 				aggSz := (len(merged.ok) + len(merged.bad)) * g.ackBytes()
-				b.send(n.Value, from, aggSz, &res.Result, span, func(bool) { reply(merged) })
+				b.send(n.Value, from, aggSz, &res.Result, span, okFunc(func(bool) { reply(merged) }))
 			}
 			if len(n.Children) == 0 {
 				e.After(b.relayDelay(n.Value), finish)
@@ -167,7 +167,7 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 					})
 				}
 			})
-		})
+		}))
 	}
 
 	// seal finalizes the registry instruments and the root span once the

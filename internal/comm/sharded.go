@@ -168,7 +168,7 @@ func (b *ShardBroadcaster) send(from, to cluster.NodeID, size int, parent spanRe
 	in.outstanding.Add(1)
 	tr := e.Tracer()
 	span := b.startSpan("comm.send", fromCell, parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
-	lim.acquire(func() {
+	lim.acquire(waitFunc(func() {
 		attempts, msgs, retries := 0, 0, 0
 		resolved := false
 		arrived := false // touched only on to's cell
@@ -224,7 +224,7 @@ func (b *ShardBroadcaster) send(from, to cluster.NodeID, size int, parent spanRe
 			})
 		}
 		attempt()
-	})
+	}))
 }
 
 // SendOne delivers one point-to-point message with the broadcaster's

@@ -37,6 +37,19 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 }
 
+// TestNilTracerAllocatesNothing pins the disabled-tracing cost on the
+// hot paths that annotate spans unconditionally (sched.submit renders a
+// walltime for every job): a nil tracer must not even format the value.
+func TestNilTracerAllocatesNothing(t *testing.T) {
+	var tr *obs.Tracer
+	if n := testing.AllocsPerRun(100, func() {
+		tr.SetAttrInt(7, "walltime_ns", 3_600_000_000_000)
+		tr.End(7)
+	}); n != 0 {
+		t.Fatalf("nil tracer SetAttrInt+End: %v allocs per call, want 0", n)
+	}
+}
+
 func TestTracerChronologicalDump(t *testing.T) {
 	c := &fakeClock{}
 	tr := obs.NewTracer(c.Now)

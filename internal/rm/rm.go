@@ -95,6 +95,9 @@ type Centralized struct {
 	launchB *comm.Broadcaster
 	hb      *simnet.Ticker
 	jobs    int
+	// computes lists the compute nodes once, at Start; every heartbeat
+	// polls this list.
+	computes []cluster.NodeID
 }
 
 // NewCentralized builds a centralized RM over the cluster. Satellite
@@ -122,11 +125,12 @@ func (r *Centralized) Meter() *cluster.ResourceMeter { return &r.cluster.Master(
 // Start implements RM.
 func (r *Centralized) Start() {
 	m := r.Meter()
-	n := int64(len(r.cluster.Computes()))
+	r.computes = r.cluster.Computes()
+	n := int64(len(r.computes))
 	m.AddVMem(r.prof.BaseVMem + n*r.prof.PerNodeVMem)
 	m.AddRSS(r.prof.BaseRSS + n*r.prof.PerNodeRSS)
 	if r.prof.PersistentConns {
-		for range r.cluster.Computes() {
+		for range r.computes {
 			m.OpenSocket()
 		}
 	}
@@ -148,14 +152,14 @@ func (r *Centralized) Stop() {
 func (r *Centralized) heartbeat() {
 	master := r.cluster.Master().ID
 	m := r.Meter()
-	m.ChargeCPU(time.Duration(len(r.cluster.Computes())) * r.prof.HeartbeatCPUPerNode)
+	m.ChargeCPU(time.Duration(len(r.computes)) * r.prof.HeartbeatCPUPerNode)
 	if r.prof.PersistentConns {
-		for _, id := range r.cluster.Computes() {
-			r.cluster.Net.SendPersistent(master, id, r.prof.HBMsgBytes, nil, nil)
+		for _, id := range r.computes {
+			r.cluster.Net.SendPersistent(master, id, r.prof.HBMsgBytes, nil)
 		}
 		return
 	}
-	comm.Star{}.Broadcast(r.b, master, r.cluster.Computes(), r.prof.HBMsgBytes, nil)
+	comm.Star{}.Broadcast(r.b, master, r.computes, r.prof.HBMsgBytes, nil)
 }
 
 // launchStructure picks the messaging topology for job load/terminate.

@@ -27,6 +27,9 @@ type ShardedCentralized struct {
 	launchB *comm.ShardBroadcaster
 	hb      *hbTicker
 	jobs    int
+	// computes lists the compute nodes once, at Start; every heartbeat
+	// polls this list.
+	computes []cluster.NodeID
 }
 
 // hbTicker wraps the master-cell heartbeat ticker.
@@ -55,11 +58,12 @@ func (r *ShardedCentralized) Meter() *cluster.ResourceMeter { return &r.cluster.
 // Start implements RM.
 func (r *ShardedCentralized) Start() {
 	m := r.Meter()
-	n := int64(len(r.cluster.Computes()))
+	r.computes = r.cluster.Computes()
+	n := int64(len(r.computes))
 	m.AddVMem(r.prof.BaseVMem + n*r.prof.PerNodeVMem)
 	m.AddRSS(r.prof.BaseRSS + n*r.prof.PerNodeRSS)
 	if r.prof.PersistentConns {
-		for range r.cluster.Computes() {
+		for range r.computes {
 			m.OpenSocket()
 		}
 	}
@@ -80,14 +84,14 @@ func (r *ShardedCentralized) Stop() {
 func (r *ShardedCentralized) heartbeat() {
 	master := r.cluster.Master().ID
 	m := r.Meter()
-	m.ChargeCPU(time.Duration(len(r.cluster.Computes())) * r.prof.HeartbeatCPUPerNode)
+	m.ChargeCPU(time.Duration(len(r.computes)) * r.prof.HeartbeatCPUPerNode)
 	if r.prof.PersistentConns {
-		for _, id := range r.cluster.Computes() {
+		for _, id := range r.computes {
 			r.cluster.SendPersistent(master, id, r.prof.HBMsgBytes, nil, nil, nil)
 		}
 		return
 	}
-	r.b.BroadcastStar(master, r.cluster.Computes(), r.prof.HBMsgBytes, nil)
+	r.b.BroadcastStar(master, r.computes, r.prof.HBMsgBytes, nil)
 }
 
 // launch routes one job broadcast over the profile's structure.

@@ -27,6 +27,18 @@
 // observable in the (time, seq) execution order: cancelled events never
 // fire and the heap order is a total order, so every heap shape pops the
 // same sequence.
+//
+// An event's callback is one slot: a Handler plus a small op code, fired
+// as h.Fire(op). Schedule and After keep the closure form by storing the
+// func itself as a Handler (a func value fits the interface word, so the
+// adapter costs nothing); AfterHandler lets a long-lived object be the
+// target of several kinds of event without a closure per event. The cluster wire builds on this: each network
+// message is a pooled object that is the target of its own arrive, fail,
+// close-socket and duplicate events, and returns to its network's pool
+// when the last of them has fired; the comm layer's delivery chain is
+// one object per (sender, target) link that is both the dispatch and
+// backoff target and the message's receiver. A message send and a retry
+// therefore allocate nothing once the pools are warm.
 package simnet
 
 import (
@@ -45,11 +57,25 @@ type event struct {
 	at       time.Duration
 	seq      uint64
 	gen      uint64 // bumped each time the object is taken from the pool
-	fn       func()
+	h        Handler
 	e        *Engine
 	index    int // position in heap; -1 once popped or collected
 	canceled bool
+	op       uint8 // passed to h.Fire
 }
+
+// Handler is the target of a scheduled event. Fire runs at the event's
+// virtual time with the op code it was scheduled with, so one object can
+// serve several kinds of event (see AfterHandler).
+type Handler interface {
+	Fire(op uint8)
+}
+
+// funcHandler adapts a closure to Handler; Schedule and After use it so
+// both forms share one event representation.
+type funcHandler func()
+
+func (f funcHandler) Fire(uint8) { f() }
 
 // Event is a handle to a scheduled callback in virtual time. Events are
 // one-shot; use Engine.Every for periodic work.
@@ -247,7 +273,7 @@ func (e *Engine) compact() {
 // is so dead handles keep answering Canceled truthfully until the object
 // is reused (newEvent resets it).
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.index = -1
 	e.free = append(e.free, ev)
 }
@@ -276,12 +302,19 @@ func (e *Engine) newEvent() *event {
 // Schedule runs fn at absolute virtual time t. Scheduling in the past (t <
 // Now) panics: it would silently reorder causality.
 func (e *Engine) Schedule(t time.Duration, fn func()) Event {
+	return e.schedule(t, funcHandler(fn), 0)
+}
+
+// schedule queues h.Fire(op) at absolute virtual time t. Both event forms
+// take their sequence number here, so they interleave in one (time, seq)
+// order.
+func (e *Engine) schedule(t time.Duration, h Handler, op uint8) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.seq, ev.h, ev.op = t, e.seq, h, op
 	e.events = append(e.events, heapEntry{t, e.seq, ev})
 	e.siftUp(len(e.events) - 1)
 	return Event{ev: ev, gen: ev.gen, at: t}
@@ -290,10 +323,18 @@ func (e *Engine) Schedule(t time.Duration, fn func()) Event {
 // After runs fn d after the current virtual time. Negative d is clamped to
 // zero so callers may subtract without guarding.
 func (e *Engine) After(d time.Duration, fn func()) Event {
+	return e.AfterHandler(d, funcHandler(fn), 0)
+}
+
+// AfterHandler runs h.Fire(op) d after the current virtual time, with
+// negative d clamped to zero as in After. It takes a sequence number
+// exactly like After, so the two forms interleave in one (time, seq)
+// order.
+func (e *Engine) AfterHandler(d time.Duration, h Handler, op uint8) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.Schedule(e.now+d, fn)
+	return e.schedule(e.now+d, h, op)
 }
 
 // Ticker is a handle to a periodic task registered with Every.
@@ -346,11 +387,11 @@ func (e *Engine) Step() bool {
 		if e.observer != nil {
 			e.observer(ev.at, ev.seq)
 		}
-		fn := ev.fn
-		ev.fn = nil
-		fn()
-		// Recycle only after fn returns: user code may run inside fn while
-		// the handle is still the live in-flight event.
+		h, op := ev.h, ev.op
+		ev.h = nil
+		h.Fire(op)
+		// Recycle only after Fire returns: user code may run inside it
+		// while the handle is still the live in-flight event.
 		e.recycle(ev)
 		return true
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // TestPendingCountsLiveOnly pins the post-compaction Pending contract:
@@ -338,3 +339,59 @@ func TestCountEvents(t *testing.T) {
 		t.Errorf("CountEvents attributed another goroutine's engines: got %d, want 2", got)
 	}
 }
+
+// recorder is a Handler that logs each firing's op and virtual time.
+type recorder struct {
+	e   *Engine
+	log []string
+}
+
+func (r *recorder) Fire(op uint8) {
+	r.log = append(r.log, fmt.Sprintf("%v:op%d", r.e.Now(), op))
+}
+
+// TestHandlerSharesSequence checks that handler events and closure events
+// draw from one sequence: at equal times they fire in scheduling order,
+// whichever form scheduled them, and each handler event carries its op.
+func TestHandlerSharesSequence(t *testing.T) {
+	e := NewEngine(1)
+	r := &recorder{e: e}
+	e.AfterHandler(time.Second, r, 1)
+	e.Schedule(time.Second, func() { r.log = append(r.log, "fn") })
+	e.AfterHandler(time.Second, r, 2)
+	e.AfterHandler(-time.Second, r, 3) // clamped to now, like After
+	cancelled := e.AfterHandler(time.Second, r, 4)
+	cancelled.Cancel()
+	e.Run()
+	got := fmt.Sprint(r.log)
+	if want := "[0s:op3 1s:op1 fn 1s:op2]"; got != want {
+		t.Fatalf("firing order %s, want %s", got, want)
+	}
+}
+
+// TestEventFitsCacheLine pins the event layout: the handler slot and op
+// code must not push the pooled object past one 64-byte cache line.
+func TestEventFitsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Fatalf("event is %d bytes, want at most 64", n)
+	}
+}
+
+// TestHandlerSchedulingAllocatesNothing checks that a warm engine
+// schedules and fires handler events without allocating.
+func TestHandlerSchedulingAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	var nop nopHandler
+	e.AfterHandler(time.Millisecond, nop, 0)
+	e.Step()
+	if n := testing.AllocsPerRun(100, func() {
+		e.AfterHandler(time.Millisecond, nop, 1)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("AfterHandler+Step: %v allocs, want 0", n)
+	}
+}
+
+type nopHandler struct{}
+
+func (nopHandler) Fire(uint8) {}

@@ -223,6 +223,12 @@ func Generate(cfg GenConfig) *Trace {
 		if submit > span || len(jobs) >= cfg.Jobs {
 			return false
 		}
+		// A long-runner session's evening jitter can reach back past the
+		// trace start; such a job is submitted at the start instead. The
+		// clamp draws nothing, so the rest of the trace is unchanged.
+		if submit < 0 {
+			submit = 0
+		}
 		// Weak scaling: running the family's problem on fewer (more) nodes
 		// than its characteristic count lengthens (shortens) the runtime.
 		scale := math.Pow(float64(a.profile.nodes)/float64(a.nodes), 0.7)

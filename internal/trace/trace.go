@@ -60,12 +60,16 @@ type Trace struct {
 }
 
 // Validate checks trace invariants: IDs dense and increasing, submissions
-// time-ordered, positive resources and runtimes.
+// time-ordered and not before the trace start, positive resources and
+// runtimes.
 func (t *Trace) Validate() error {
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
 		if j.ID != i {
 			return fmt.Errorf("trace: job %d has ID %d", i, j.ID)
+		}
+		if j.Submit < 0 {
+			return fmt.Errorf("trace: job %d submitted at %v, before the trace start", i, j.Submit)
 		}
 		if i > 0 && j.Submit < t.Jobs[i-1].Submit {
 			return fmt.Errorf("trace: job %d submitted before its predecessor", i)

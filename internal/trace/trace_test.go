@@ -195,6 +195,41 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestNoSubmitBeforeStart pins the long-runner clamp: these seeds of a
+// small one-week Tianhe-2A trace drew an evening jitter that put their
+// first submission before t=0 (seed 4300 at -14m27s), which the
+// scheduler cannot replay.
+func TestNoSubmitBeforeStart(t *testing.T) {
+	for _, seed := range []int64{4300, 9725, 11576} {
+		cfg := Tianhe2AConfig(500)
+		cfg.MaxNodes, cfg.Days, cfg.Seed = 1024, 7, seed
+		tr := Generate(cfg)
+		if first := tr.Jobs[0].Submit; first != 0 {
+			t.Errorf("seed %d: first submit %v, want the clamped 0", seed, first)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	tr := Generate(Tianhe2AConfig(100))
+	tr.Jobs[0].Submit = -time.Second
+	if tr.Validate() == nil {
+		t.Error("submit before the trace start not caught")
+	}
+}
+
+// TestGeneratedTracesValidateOverSeeds is the property behind the clamp:
+// every generated trace passes Validate, whatever the seed.
+func TestGeneratedTracesValidateOverSeeds(t *testing.T) {
+	for seed := int64(4000); seed < 5000; seed++ {
+		cfg := Tianhe2AConfig(500)
+		cfg.MaxNodes, cfg.Days, cfg.Seed = 1024, 7, seed
+		if err := Generate(cfg).Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 func BenchmarkGenerate50K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Generate(NGTianheConfig(50000))
