@@ -16,7 +16,7 @@
 //	benchrunner -all -parallel 4      # ...on exactly 4 workers
 //	benchrunner -all -json            # ...and write BENCH_quick.json
 //	benchrunner -all -jsonout f.json  # ...perf record to f.json (CI gate)
-//	benchrunner -exp fig7f -shards 4  # sharded kernel on 4 window workers
+//	benchrunner -exp fig7f -shards 4  # rack cells on 4 window workers
 //	benchrunner -exp fig8b -trace t.json   # Chrome trace of every engine
 //	benchrunner -exp fig8b -metrics        # dump each engine's registry
 //	benchrunner -exp fig7f -critpath cp.txt  # critical-path attribution
@@ -60,7 +60,7 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "dump each engine's metrics registry to stdout (forces serial execution)")
 		critPath = flag.String("critpath", "", "write the deterministic critical-path report of every engine to this file (forces serial execution)")
 		spans    = flag.Bool("spans", false, "print the span and metric taxonomy tables (the generated half of OBSERVABILITY.md) and exit")
-		shards   = flag.Int("shards", 0, "run shard-aware experiments (fig7f, fig10) on the sharded kernel with N window workers (0 = legacy single-engine path)")
+		shards   = flag.Int("shards", 0, "run shard-aware experiments (fig7f, fig10) on rack cells with N window workers (0 = one cell)")
 	)
 	flag.Parse()
 

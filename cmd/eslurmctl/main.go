@@ -161,7 +161,7 @@ func main() {
 		node := c.Computes()[rng.Intn(*nodes)]
 		at := time.Duration(rng.Int63n(int64(span)))
 		sub.NoticeImpendingFailure(node, at)
-		c.ScheduleFailure(node, at, 2*time.Hour)
+		c.ScheduleFail(node, at, 2*time.Hour)
 	}
 
 	// A light job flow to exercise the control plane.

@@ -79,7 +79,7 @@ func main() {
 	alertPred := predict.NewAlertDriven(engine, sub, time.Hour)
 	victim := c.Computes()[100]
 	sub.NoticeImpendingFailure(victim, 30*time.Minute)
-	c.ScheduleFailure(victim, 30*time.Minute, 0)
+	c.ScheduleFail(victim, 30*time.Minute, 0)
 	engine.RunUntil(25 * time.Minute)
 	fmt.Printf("t=25m: node %d failed=%v, predicted=%v (alert arrived with ~10m lead)\n",
 		victim, c.Node(victim).Failed(), alertPred.Predicted(victim))

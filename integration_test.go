@@ -134,6 +134,16 @@ func fullStackDigest(seed int64) (trace string, metrics string) {
 // final metrics, and a different seed must actually change the run.
 func TestFullStackDeterminism(t *testing.T) {
 	trace1, metrics1 := fullStackDigest(42)
+	// Pinned: any change to the kernel, the wire, the broadcaster or the
+	// master that moves the one-cell event trace shows here.
+	const wantTrace = "02b3f7a0ca003743"
+	const wantMetrics = "events=7437 cpu=125.29ms vmem=1080557568 rss=43581440 sockets=2.000024 peak=4"
+	if trace1 != wantTrace {
+		t.Errorf("event-trace digest %s, want pinned %s", trace1, wantTrace)
+	}
+	if metrics1 != wantMetrics {
+		t.Errorf("final metrics\n%s\nwant pinned\n%s", metrics1, wantMetrics)
+	}
 	trace2, metrics2 := fullStackDigest(42)
 	if trace1 != trace2 {
 		t.Errorf("event-trace digests differ for the same seed: %s vs %s", trace1, trace2)

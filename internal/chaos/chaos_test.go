@@ -114,7 +114,7 @@ func TestDrainedPoolFallback(t *testing.T) {
 	m.Start()
 	// Kill every satellite shortly after boot, permanently.
 	for _, id := range c.Satellites() {
-		c.ScheduleFailure(id, 5*time.Second, 0)
+		c.ScheduleFail(id, 5*time.Second, 0)
 	}
 
 	var res *comm.Result

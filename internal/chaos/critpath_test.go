@@ -33,7 +33,7 @@ func TestShardedCritpathWorkerInvariant(t *testing.T) {
 			t.Errorf("workers=%d critpath report differs from workers=1:\n%s\nvs\n%s", w, got, ref)
 		}
 	}
-	const want = "digest=a61521752763573e"
+	const want = "digest=92cff597f17adea5"
 	if !strings.Contains(ref, want) {
 		tail := ref
 		if i := strings.LastIndex(tail, "digest="); i >= 0 {
@@ -50,7 +50,7 @@ func TestShardedSoakDigestUnchangedByTracing(t *testing.T) {
 	cfg := shardSoakConfig(2)
 	cfg.Trace = true
 	rep := ShardedSoak(cfg)
-	const want = "0a2bd16728914b2c"
+	const want = "08ddd58acb357009"
 	if got := rep.Digest(); got != want {
 		t.Errorf("tracing moved the sharded soak digest: %s != pinned %s", got, want)
 	}

@@ -9,22 +9,22 @@ import (
 
 	"eslurm/internal/cluster"
 	"eslurm/internal/comm"
+	"eslurm/internal/predict"
 	"eslurm/internal/topo"
 )
 
-// Sharded soak: the chaos harness ported to the shard-parallel kernel.
-// One ShardedCluster is partitioned topologically (control plane on cell
+// Sharded soak: the chaos harness on rack cells. One Cluster is
+// partitioned topologically (control plane on cell
 // 0, one cell per compute rack) and executed on Workers goroutines; the
 // fault campaign is drawn from a seed-keyed generator on the coordinator
 // and pre-scheduled identically on every cell, so the entire soak —
 // kernel digest included — is invariant under the worker count. That is
 // the property the sharded determinism test pins.
 //
-// The invariant set matches the single-engine soak where the sharded
-// stack has the same concept (broadcast partition exactness, no delivery
-// to a down node, per-broadcast bound, drained teardown); master
-// takeover and pool reallocation are features of the core.Master stack
-// and are exercised by the legacy soak only.
+// The invariant set matches the one-cell soak where the two harnesses
+// share a concept (broadcast partition exactness, no delivery to a down
+// node, per-broadcast bound, drained teardown); master takeover and pool
+// reallocation are exercised by the one-cell soak only.
 
 // ShardedConfig parameterizes a sharded soak. The zero value is runnable.
 type ShardedConfig struct {
@@ -42,7 +42,7 @@ type ShardedConfig struct {
 	// the group then drains until Span+Bound+1m.
 	Span time.Duration
 	// Broadcasts is how many full-cluster broadcasts the driver issues,
-	// rotating star/tree/relayed shapes (default 20).
+	// rotating star, tree and FP-Tree structures (default 20).
 	Broadcasts int
 	// Bound is the per-broadcast resolution bound (default 8 minutes).
 	Bound time.Duration
@@ -202,7 +202,7 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 	e0 := g.Cell(0)
 	master := sc.Master().ID
 
-	b := comm.NewShardBroadcaster(sc)
+	b := comm.NewBroadcaster(sc)
 	b.RecordResolved = true
 	// Invariant 2: no delivery lands on a down node. OnResolve fires on
 	// the origin cell, so the master-cell replica is the safe view.
@@ -216,7 +216,6 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 	// pre-scheduled on every cell — worker-invariant by construction.
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	comps := sc.Computes()
-	sats := sc.Satellites()
 	at := func() time.Duration {
 		return cfg.Span/50 + time.Duration(rng.Int63n(int64(cfg.Span)*4/5))
 	}
@@ -229,7 +228,7 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 		sr.CampaignEvents++
 	}
 	for i := 0; i < cfg.Grays; i++ {
-		sc.ScheduleGray(comps[rng.Intn(len(comps))], 2+3*rng.Float64(), at(), cfg.Span/4)
+		sc.Net.ScheduleGray(comps[rng.Intn(len(comps))], 2+3*rng.Float64(), at(), cfg.Span/4)
 		sr.CampaignEvents++
 	}
 	for i := 0; i < cfg.Partitions; i++ {
@@ -241,15 +240,21 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 		if len(comps) > size {
 			start = rng.Intn(len(comps) - size)
 		}
-		sc.SchedulePartition(comps[start:start+size], at(), cfg.Span/5)
+		sc.Net.SchedulePartition(comps[start:start+size], at(), cfg.Span/5)
 		sr.CampaignEvents++
 	}
 	for i := 0; i < cfg.Degrades; i++ {
-		sc.ScheduleLinkDegrade(master, comps[rng.Intn(len(comps))], 2+2*rng.Float64(), at())
+		sc.Net.ScheduleLinkDegrade(master, comps[rng.Intn(len(comps))], 2+2*rng.Float64(), at())
 		sr.CampaignEvents++
 	}
 
-	// Broadcast driver: rotate the three broadcast shapes over the span.
+	// Broadcast driver: rotate three structures over the span; the
+	// FP-Tree predicts from the master cell's view of the failures.
+	structures := []comm.Structure{
+		comm.Star{},
+		comm.KTree{Width: 8},
+		comm.FPTree{Width: 8, Predictor: predict.Oracle{Cluster: sc}},
+	}
 	for i := 0; i < cfg.Broadcasts; i++ {
 		i := i
 		bcAt := cfg.Span * time.Duration(i+1) / time.Duration(cfg.Broadcasts+1)
@@ -265,14 +270,7 @@ func RunShardedSeed(cfg ShardedConfig, seed int64) SeedResult {
 					violate("seed %d: broadcast %d resolved in %v > bound %v", seed, i, d, cfg.Bound)
 				}
 			}
-			switch i % 3 {
-			case 0:
-				b.BroadcastStar(master, comps, 4096, done)
-			case 1:
-				b.BroadcastTree(master, comps, 4096, 8, done)
-			default:
-				b.BroadcastRelayed(master, sats, comps, 4096, 8, done)
-			}
+			structures[i%len(structures)].Broadcast(b, master, comps, 4096, done)
 		})
 	}
 

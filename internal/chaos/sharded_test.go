@@ -41,7 +41,7 @@ func TestShardedSoakWorkerSweep(t *testing.T) {
 // this digest and must be made deliberately.
 func TestShardedSoakDigestPinned(t *testing.T) {
 	rep := ShardedSoak(shardSoakConfig(2))
-	const want = "0a2bd16728914b2c"
+	const want = "08ddd58acb357009"
 	if got := rep.Digest(); got != want {
 		t.Errorf("sharded soak digest %s, want %s\n%s", got, want, rep.String())
 	}

@@ -74,7 +74,7 @@ func TestFailRecover(t *testing.T) {
 func TestScheduleFailure(t *testing.T) {
 	c := newTestCluster(t, 2, 0)
 	id := c.Computes()[0]
-	c.ScheduleFailure(id, 5*time.Second, 10*time.Second)
+	c.ScheduleFail(id, 5*time.Second, 10*time.Second)
 	c.Engine.RunUntil(6 * time.Second)
 	if !c.Node(id).Failed() {
 		t.Fatal("node not failed at t=6s")

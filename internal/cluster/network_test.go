@@ -8,7 +8,10 @@ import (
 )
 
 // funcs adapts a pair of test closures to Receiver; either may be nil.
+// Arrived is a no-op: it only runs for cross-cell messages.
 type funcs struct{ delivered, failed func() }
+
+func (f funcs) Arrived() {}
 
 func (f funcs) Delivered() {
 	if f.delivered != nil {

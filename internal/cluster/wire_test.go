@@ -12,8 +12,9 @@ import (
 )
 
 // tally is an allocation-free Receiver for the wire tests.
-type tally struct{ delivered, failed int }
+type tally struct{ arrived, delivered, failed int }
 
+func (r *tally) Arrived()   { r.arrived++ }
 func (r *tally) Delivered() { r.delivered++ }
 func (r *tally) Failed()    { r.failed++ }
 
@@ -27,26 +28,26 @@ func TestMessagePoolLifecycle(t *testing.T) {
 	c.Net.Send(a, b, 100, &r)
 	for r.delivered == 0 && c.Engine.Step() {
 	}
-	if len(c.Net.free) != 0 {
+	if len(c.cells[0].free) != 0 {
 		t.Fatal("message pooled while its close-socket and duplicate events were pending")
 	}
 	c.Engine.Run()
 	if r.delivered != 2 || r.failed != 0 {
 		t.Fatalf("delivered %d failed %d, want 2 and 0", r.delivered, r.failed)
 	}
-	if len(c.Net.free) != 1 {
-		t.Fatalf("pool holds %d messages after the last event, want 1", len(c.Net.free))
+	if len(c.cells[0].free) != 1 {
+		t.Fatalf("pool holds %d messages after the last event, want 1", len(c.cells[0].free))
 	}
 	if s := c.Node(a).Meter.Sockets() + c.Node(b).Meter.Sockets(); s != 0 {
 		t.Fatalf("%d sockets left open", s)
 	}
-	m := c.Net.free[0]
+	m := c.cells[0].free[0]
 	c.Net.SendPersistent(a, b, 100, nil)
-	if len(c.Net.free) != 0 {
+	if len(c.cells[0].free) != 0 {
 		t.Fatal("send did not reuse the pooled message")
 	}
 	c.Engine.Run()
-	if len(c.Net.free) != 1 || c.Net.free[0] != m {
+	if len(c.cells[0].free) != 1 || c.cells[0].free[0] != m {
 		t.Fatal("reused message did not return to the pool")
 	}
 }
@@ -73,8 +74,8 @@ func TestMessageFailsInFlight(t *testing.T) {
 	if failedAt == 0 || failedAt >= c.Net.Config().ConnectTimeout {
 		t.Fatalf("persistent send failed at %v, want at its arrival", failedAt)
 	}
-	if r.delivered+p.delivered != 0 || len(c.Net.free) != 2 {
-		t.Fatalf("delivered %d, pooled %d messages; want 0 and 2", r.delivered+p.delivered, len(c.Net.free))
+	if r.delivered+p.delivered != 0 || len(c.cells[0].free) != 2 {
+		t.Fatalf("delivered %d, pooled %d messages; want 0 and 2", r.delivered+p.delivered, len(c.cells[0].free))
 	}
 }
 

@@ -106,6 +106,23 @@ func (p *RetryPolicy) backoff(next int) time.Duration {
 
 // Broadcaster carries the shared mechanics (retry policy, per-message
 // daemon costs, per-node connection limits) used by every structure.
+//
+// Every structure runs on any cluster layout. A delivery chain — every
+// attempt, backoff and the outcome of one message from one sender to one
+// target — lives on the sender's cell, a broadcast's tracker on the
+// origin's cell, and a relay forwards on its own cell when the payload
+// lands. A chain whose sender shares the origin's cell tells the tracker
+// at once; any other tells it one link latency later over the cluster's
+// cross-cell channel, so across cells Delivered and Elapsed include the
+// ack and notification traffic a real master waits for. Within one cell
+// the effects of a delivery run in this order: wire bookkeeping, limiter
+// release, tracker resolve, relay hook, then the sender's continuation.
+//
+// Registry instruments and the retry RNG stream are per cell (fold them
+// with ShardGroup.MergedMetrics). Spans land on the tracer of the cell
+// running the instrumented code; a span whose logical parent lives on
+// another cell records the "xparent" attribute (obs.CellRef) instead of
+// a parent id, which critpath.FromCells resolves.
 type Broadcaster struct {
 	Cluster *cluster.Cluster
 	// Retries is the number of connection attempts per link (paper: 3),
@@ -132,24 +149,31 @@ type Broadcaster struct {
 	// targets' identities (Result.Resolved) for invariant checking.
 	RecordResolved bool
 	// OnResolve, when non-nil, is invoked exactly once per (broadcast,
-	// target) at the virtual instant the target resolves — delivered or
-	// declared unreachable. It must not schedule events.
+	// target) on the origin's cell at the virtual instant the target
+	// resolves there — delivered or declared unreachable. It must not
+	// schedule events.
 	OnResolve func(to cluster.NodeID, ok bool)
 	// SpanParent, when non-zero, parents the *next* broadcast's root
 	// span: the master sets it immediately before handing a sub-list to
 	// a Structure (which builds its tracker synchronously), and the
 	// tracker consumes and clears it. Zero — the default — makes
-	// broadcast spans roots.
+	// broadcast spans roots. The parent lives on the caller's cell,
+	// which is the origin's.
 	SpanParent obs.SpanID
 
-	limiters map[cluster.NodeID]*limiter
-	retryRng *rand.Rand
+	cells []cellState // by cell; each touched only by that cell
+}
+
+// cellState is a broadcaster's per-cell state.
+type cellState struct {
+	limiters map[cluster.NodeID]*limiter // by sender
 	in       *instruments
+	retryRng *rand.Rand
 }
 
 // instruments caches the broadcaster's registry handles so hot paths pay
-// a field read, not a map lookup. Built on first use from the engine's
-// registry (see simnet.Engine.Metrics).
+// a field read, not a map lookup. Built on first use from the cell
+// engine's registry (see simnet.Engine.Metrics).
 type instruments struct {
 	delivered   *obs.Counter
 	unreachable *obs.Counter
@@ -162,7 +186,7 @@ type instruments struct {
 // broadcastElapsedBounds returns the comm.broadcast_elapsed_ns bucket
 // edges: decades from 1 ms to 1000 s, covering a healthy in-rack delivery
 // through a full retry-and-timeout drain. Built per call (once per
-// Broadcaster) so the bounds are never package-level mutable state.
+// Broadcaster cell) so the bounds are never package-level mutable state.
 func broadcastElapsedBounds() []int64 {
 	return []int64{
 		int64(time.Millisecond),
@@ -175,10 +199,20 @@ func broadcastElapsedBounds() []int64 {
 	}
 }
 
-func (b *Broadcaster) inst() *instruments {
-	if b.in == nil {
-		m := b.engine().Metrics()
-		b.in = &instruments{
+// cell returns the state of id's home cell.
+func (b *Broadcaster) cell(id cluster.NodeID) *cellState {
+	if len(b.cells) == 1 {
+		return &b.cells[0]
+	}
+	return &b.cells[b.Cluster.CellOf(id)]
+}
+
+// inst returns the instruments of id's home cell.
+func (b *Broadcaster) inst(id cluster.NodeID) *instruments {
+	cs := b.cell(id)
+	if cs.in == nil {
+		m := b.Cluster.EngineOf(id).Metrics()
+		cs.in = &instruments{
 			delivered:   m.Counter("comm.delivered"),
 			unreachable: m.Counter("comm.unreachable"),
 			messages:    m.Counter("comm.messages"),
@@ -187,29 +221,32 @@ func (b *Broadcaster) inst() *instruments {
 			elapsed:     m.Histogram("comm.broadcast_elapsed_ns", broadcastElapsedBounds()),
 		}
 	}
-	return b.in
+	return cs.in
 }
 
 // NewBroadcaster returns a Broadcaster with the paper's defaults.
 func NewBroadcaster(c *cluster.Cluster) *Broadcaster {
-	return &Broadcaster{
+	b := &Broadcaster{
 		Cluster:          c,
 		Retries:          3,
 		SendOverhead:     30 * time.Microsecond,
 		RelayOverhead:    200 * time.Microsecond,
 		MaxConcurrent:    128,
 		PerNodeListBytes: 16,
-		limiters:         make(map[cluster.NodeID]*limiter),
+		cells:            make([]cellState, c.Cells()),
 	}
+	for i := range b.cells {
+		b.cells[i].limiters = make(map[cluster.NodeID]*limiter)
+	}
+	return b
 }
-
-func (b *Broadcaster) engine() *simnet.Engine { return b.Cluster.Engine }
 
 // limiter serializes access to a sender's connection slots. Chains that
 // find every slot taken wait in FIFO order in queue[head:]; the storage
 // is reused instead of regrown, once the line empties or once the served
 // prefix is at least half of a full slice.
 type limiter struct {
+	e     *simnet.Engine // the sender's cell
 	max   int
 	inUse int
 	queue []waiter
@@ -222,16 +259,12 @@ type waiter interface {
 	start()
 }
 
-// waitFunc adapts a closure to waiter.
-type waitFunc func()
-
-func (f waitFunc) start() { f() }
-
 func (b *Broadcaster) limiter(id cluster.NodeID) *limiter {
-	l, ok := b.limiters[id]
+	m := b.cell(id).limiters
+	l, ok := m[id]
 	if !ok {
-		l = &limiter{max: b.MaxConcurrent}
-		b.limiters[id] = l
+		l = &limiter{e: b.Cluster.EngineOf(id), max: b.MaxConcurrent}
+		m[id] = l
 	}
 	return l
 }
@@ -275,115 +308,150 @@ func (b *Broadcaster) maxAttempts() int {
 	return b.Retries
 }
 
-// retryDelay returns how long to wait before attempt number next (jitter
-// included). The fixed-count legacy policy retries immediately.
-func (b *Broadcaster) retryDelay(next int) time.Duration {
+// retryDelay returns how long from's chain waits before attempt number
+// next (jitter included). The fixed-count legacy policy retries
+// immediately.
+func (b *Broadcaster) retryDelay(from cluster.NodeID, next int) time.Duration {
 	p := b.Retry
 	if p == nil {
 		return 0
 	}
 	d := p.backoff(next)
 	if p.JitterFrac > 0 && d > 0 {
-		if b.retryRng == nil {
-			b.retryRng = b.engine().Rand("comm/retry")
+		cs := b.cell(from)
+		if cs.retryRng == nil {
+			cs.retryRng = b.Cluster.EngineOf(from).Rand("comm/retry")
 		}
 		if span := int64(float64(d) * p.JitterFrac); span > 0 {
-			d += time.Duration(b.retryRng.Int63n(span))
+			d += time.Duration(cs.retryRng.Int63n(span))
 		}
 	}
 	return d
 }
 
-// resolver receives a delivery chain's outcome. A broadcast's tracker is
-// one, so a star target needs no closure of its own; okFunc adapts the
-// closures of the relay structures.
-type resolver interface {
-	resolve(to cluster.NodeID, ok bool)
+// hop is what a relay structure does with one of its delivery chains.
+type hop interface {
+	// relay runs on the target's cell when the payload first lands
+	// there: the relay's processing before it forwards.
+	relay(c *chain)
+	// forward runs on the target's cell once the processing delay
+	// scheduled by relayAfter has elapsed.
+	forward(c *chain)
+	// resolved runs on the sender's cell after the tracker has been
+	// told the chain's outcome: the sender's continuation.
+	resolved(c *chain, ok bool)
 }
 
-// okFunc adapts a closure that needs only the outcome to resolver.
+// okFunc adapts a point-to-point callback to hop.
 type okFunc func(ok bool)
 
-func (f okFunc) resolve(_ cluster.NodeID, ok bool) { f(ok) }
+func (okFunc) relay(*chain)                 {}
+func (okFunc) forward(*chain)               {}
+func (f okFunc) resolved(_ *chain, ok bool) { f(ok) }
 
-// send delivers one message with retries, occupying a connection slot of
-// the sender from dispatch until resolution. r receives the outcome
-// exactly once: duplicated deliveries (NetConfig.DupProb) are
-// deduplicated here, so Delivered never double-counts a target. res, when
-// non-nil, counts the chain's messages and retries. parent, when tracing
-// is enabled, parents the delivery-chain span (comm.send) under the
-// broadcast that issued it.
-func (b *Broadcaster) send(from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, r resolver) {
-	b.sendChain(new(chain), from, to, size, res, parent, r)
+// send delivers one message with retries on a fresh chain; see sendChain.
+func (b *Broadcaster) send(from, to cluster.NodeID, size int, t *tracker, h hop) *chain {
+	c := new(chain)
+	b.sendChain(c, from, to, size, t, h)
+	return c
 }
 
-// sendChain is send on a caller-supplied chain, so a star can allocate
-// the chains of all its targets in one block.
-func (b *Broadcaster) sendChain(c *chain, from, to cluster.NodeID, size int, res *Result, parent obs.SpanID, r resolver) {
-	in := b.inst()
-	in.outstanding.Add(1)
-	*c = chain{b: b, from: from, to: to, size: size, res: res, r: r, lim: b.limiter(from)}
-	if tr := b.engine().Tracer(); tr != nil {
-		c.span = tr.Start("comm.send", parent, obs.Int("from", int(from)), obs.Int("to", int(to)))
+// sendChain delivers one message with retries, occupying a connection
+// slot of the sender from dispatch until resolution. The outcome reaches
+// t (may be nil) exactly once: duplicated deliveries
+// (NetConfig.DupProb) are deduplicated here, so Delivered never
+// double-counts a target. h (may be nil) is the structure's
+// continuation. Fields the structure reads back (node, lo, hi) must be
+// set on c before the call.
+func (b *Broadcaster) sendChain(c *chain, from, to cluster.NodeID, size int, t *tracker, h hop) {
+	c.b, c.from, c.to, c.size, c.t, c.h = b, from, to, int32(size), t, h
+	c.lim = b.limiter(from)
+	b.inst(from).outstanding.Add(1)
+	if tr := c.lim.e.Tracer(); tr != nil {
+		parent, parentCell := b.SpanParent, b.Cluster.CellOf(from)
+		if t != nil {
+			parent, parentCell = t.span, t.cell
+		} else {
+			b.SpanParent = 0
+		}
+		parent, attrs := crossParent(b.Cluster.CellOf(from), parentCell, parent,
+			obs.Int("from", int(from)), obs.Int("to", int(to)))
+		c.span = tr.Start("comm.send", parent, attrs...)
+	} else if t == nil {
+		b.SpanParent = 0
 	}
 	c.lim.acquire(c)
 }
 
+// crossParent resolves a span's parent for a tracer on cell when the
+// parent was recorded on parentCell's tracer: a same-cell parent links
+// directly, a parent on another cell rides the "xparent" attribute
+// prepended to attrs.
+func crossParent(cell, parentCell int, parent obs.SpanID, attrs ...obs.Attr) (obs.SpanID, []obs.Attr) {
+	if parent != 0 && parentCell != cell {
+		return 0, append([]obs.Attr{obs.String("xparent", obs.CellRef(parentCell, parent))}, attrs...)
+	}
+	return parent, attrs
+}
+
 // Chain event op codes.
 const (
-	opDispatch uint8 = iota // the send overhead has elapsed: put the attempt on the wire
-	opBackoff               // the retry backoff has elapsed
+	opDispatch uint8 = iota // sender's cell: the send overhead has elapsed, put the attempt on the wire
+	opBackoff               // sender's cell: the retry backoff has elapsed
+	opNotify                // origin's cell: the outcome reaches the tracker
+	opForward               // target's cell: the relay's processing has elapsed
 )
 
 // chain is one delivery chain: every attempt, backoff and the final
 // outcome of one message from one sender to one target. It is the
-// limiter's waiter, the simnet.Handler of its dispatch and backoff
-// events, and the cluster.Receiver of each attempt's message.
+// limiter's waiter, the simnet.Handler of its events on every cell, and
+// the cluster.Receiver of each attempt's message. The sender's cell owns
+// every field except landed, which only the target's cell touches. A
+// star allocates one chain per target, so the fields are packed to keep
+// the struct at 96 bytes.
 type chain struct {
 	b        *Broadcaster
 	from, to cluster.NodeID
-	size     int
-	res      *Result
-	r        resolver
-	lim      *limiter
+	lim      *limiter // the sender's, which knows its cell's engine
+	t        *tracker
+	h        hop
+	node     *fptree.Node[cluster.NodeID] // tree structures: the subtree this chain delivers
+	began    time.Duration                // when the chain got its connection slot
 	span     obs.SpanID
-	began    time.Duration // when the chain got its connection slot
-	attempts int
+	size     int32
+	attempts int32
+	lo, hi   int32 // ring position; binomial block
 	resolved bool
+	ok       bool
+	landed   bool // target's cell: the payload has landed once
 }
 
 // start implements waiter: the chain has its connection slot.
 func (c *chain) start() {
-	c.began = c.b.engine().Now()
+	c.began = c.lim.e.Now()
 	c.attempt()
 }
 
 func (c *chain) attempt() {
 	b := c.b
-	in := b.inst()
+	in := b.inst(c.from)
 	c.attempts++
 	in.messages.Inc()
-	if c.res != nil {
-		c.res.Messages++
-	}
 	if c.attempts > 1 {
 		in.retries.Inc()
-		if c.res != nil {
-			c.res.Retries++
-		}
-		if tr := b.engine().Tracer(); tr != nil {
-			tr.Instant("comm.retry", c.span, obs.Int("attempt", c.attempts))
+		if tr := c.lim.e.Tracer(); tr != nil {
+			tr.Instant("comm.retry", c.span, obs.Int("attempt", int(c.attempts)))
 		}
 	}
 	b.Cluster.Node(c.from).Meter.ChargeCPU(b.SendOverhead)
-	b.engine().AfterHandler(b.SendOverhead, c, opDispatch)
+	c.lim.e.AfterHandler(b.SendOverhead, c, opDispatch)
 }
 
 // Fire implements simnet.Handler.
 func (c *chain) Fire(op uint8) {
 	switch op {
 	case opDispatch:
-		c.b.Cluster.Net.Send(c.from, c.to, c.size, c)
+		c.b.Cluster.Net.Send(c.from, c.to, int(c.size), c)
 	case opBackoff:
 		// Re-check the deadline when the backoff timer fires: a Deadline
 		// expiring mid-backoff must resolve the chain (exactly once, via
@@ -392,11 +460,27 @@ func (c *chain) Fire(op uint8) {
 		if c.resolved {
 			return
 		}
-		if c.b.pastDeadline(c.began) {
+		if c.pastDeadline() {
 			c.settle(false)
 			return
 		}
 		c.attempt()
+	case opNotify:
+		c.t.resolve(c.to, c.ok, int(c.attempts))
+	case opForward:
+		c.h.forward(c)
+	}
+}
+
+// Arrived implements cluster.Receiver: a cross-cell payload landed on
+// the target's cell, where a relay forwards without waiting for the ack.
+func (c *chain) Arrived() {
+	if c.landed {
+		return
+	}
+	c.landed = true
+	if c.h != nil {
+		c.h.relay(c)
 	}
 }
 
@@ -414,9 +498,9 @@ func (c *chain) Failed() {
 		return
 	}
 	b := c.b
-	if c.attempts < b.maxAttempts() && !b.pastDeadline(c.began) {
-		if d := b.retryDelay(c.attempts + 1); d > 0 {
-			b.engine().AfterHandler(d, c, opBackoff)
+	if int(c.attempts) < b.maxAttempts() && !c.pastDeadline() {
+		if d := b.retryDelay(c.from, int(c.attempts)+1); d > 0 {
+			c.lim.e.AfterHandler(d, c, opBackoff)
 		} else {
 			c.attempt()
 		}
@@ -426,36 +510,69 @@ func (c *chain) Failed() {
 }
 
 func (c *chain) settle(ok bool) {
-	c.resolved = true
-	c.b.inst().outstanding.Add(-1)
-	if tr := c.b.engine().Tracer(); tr != nil {
-		tr.SetAttrInt(c.span, "attempts", c.attempts)
+	b := c.b
+	c.resolved, c.ok = true, ok
+	b.inst(c.from).outstanding.Add(-1)
+	if tr := c.lim.e.Tracer(); tr != nil {
+		tr.SetAttrInt(c.span, "attempts", int(c.attempts))
 		if !ok {
 			tr.SetAttr(c.span, "ok", "false")
 		}
 		tr.End(c.span)
 	}
 	c.lim.release()
-	c.r.resolve(c.to, ok)
+	if c.t != nil {
+		if b.Cluster.CellOf(c.from) == c.t.cell {
+			c.t.resolve(c.to, ok, int(c.attempts))
+		} else {
+			b.Cluster.Net.Post(c.from, c.t.origin, c, opNotify)
+		}
+	}
+	if c.h == nil {
+		return
+	}
+	if ok && b.Cluster.CellOf(c.from) == b.Cluster.CellOf(c.to) {
+		c.h.relay(c)
+	}
+	c.h.resolved(c, ok)
 }
 
-// pastDeadline reports whether a delivery chain begun at start has
-// exhausted the policy's per-chain deadline.
-func (b *Broadcaster) pastDeadline(start time.Duration) bool {
-	return b.Retry != nil && b.Retry.Deadline > 0 && b.engine().Now()-start >= b.Retry.Deadline
+// pastDeadline reports whether the chain has exhausted the policy's
+// per-chain deadline.
+func (c *chain) pastDeadline() bool {
+	p := c.b.Retry
+	return p != nil && p.Deadline > 0 && c.lim.e.Now()-c.began >= p.Deadline
+}
+
+// relayAfter charges a relay's processing on its own meter and schedules
+// its forward after the relay delay, on the relay's cell.
+func (b *Broadcaster) relayAfter(c *chain) {
+	d := b.relayDelay(c.to)
+	b.Cluster.Node(c.to).Meter.ChargeCPU(d)
+	b.Cluster.EngineOf(c.to).AfterHandler(d, c, opForward)
 }
 
 // OutstandingSends returns the number of delivery chains currently in
 // flight (holding or queued for a connection slot) across all senders.
 // Zero means the communication layer is fully drained — a teardown
 // invariant the chaos harness checks. The count lives in the registry
-// gauge comm.outstanding_sends; this accessor is the back-compat view.
-func (b *Broadcaster) OutstandingSends() int { return int(b.inst().outstanding.Value()) }
+// gauges comm.outstanding_sends of every cell; on a multi-cell cluster
+// read it only while the group is idle.
+func (b *Broadcaster) OutstandingSends() int {
+	n := 0
+	for _, cs := range b.cells {
+		if cs.in != nil {
+			n += int(cs.in.outstanding.Value())
+		}
+	}
+	return n
+}
 
 // relayDelay returns the relay processing cost at a node: RelayOverhead,
-// inflated by the node's gray-failure factor when it is degraded.
+// inflated by the node's gray-failure factor (as its own cell sees it)
+// when it is degraded.
 func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
-	g := b.Cluster.Net.GrayFactor(id)
+	g := b.Cluster.Net.GrayFactorOn(id, id)
 	if g <= 1 {
 		return b.RelayOverhead
 	}
@@ -464,20 +581,21 @@ func (b *Broadcaster) relayDelay(id cluster.NodeID) time.Duration {
 
 // Send delivers one point-to-point message with the broadcaster's retry
 // policy, outside of any broadcast. cb receives true on delivery, false
-// once all attempts are exhausted. Used by the master daemon for
-// master↔satellite task hand-offs and heartbeats. The delivery-chain
-// span, if tracing is on, is parented under the consumed SpanParent.
+// once all attempts are exhausted, on from's cell. Used by the master
+// daemon for master↔satellite task hand-offs and heartbeats. The
+// delivery-chain span, if tracing is on, is parented under the consumed
+// SpanParent.
 func (b *Broadcaster) Send(from, to cluster.NodeID, size int, cb func(ok bool)) {
-	parent := b.SpanParent
-	b.SpanParent = 0
-	b.send(from, to, size, nil, parent, okFunc(cb))
+	b.send(from, to, size, nil, okFunc(cb))
 }
 
-// tracker counts outstanding deliveries and finalizes the Result. It
-// also owns the broadcast's root span (comm.broadcast) and feeds the
-// registry's delivery counters and latency histogram.
+// tracker counts outstanding deliveries and finalizes the Result on the
+// origin's cell. It also owns the broadcast's root span (comm.broadcast)
+// and feeds the registry's delivery counters and latency histogram.
 type tracker struct {
 	b       *Broadcaster
+	origin  cluster.NodeID
+	cell    int
 	engine  *simnet.Engine
 	start   time.Duration
 	pending int
@@ -486,9 +604,9 @@ type tracker struct {
 	span    obs.SpanID
 }
 
-func newTracker(b *Broadcaster, structure string, pending int, done func(Result)) *tracker {
-	e := b.engine()
-	t := &tracker{b: b, engine: e, start: e.Now(), pending: pending, done: done}
+func newTracker(b *Broadcaster, origin cluster.NodeID, structure string, pending int, done func(Result)) *tracker {
+	e := b.Cluster.EngineOf(origin)
+	t := &tracker{b: b, origin: origin, cell: b.Cluster.CellOf(origin), engine: e, start: e.Now(), pending: pending, done: done}
 	parent := b.SpanParent
 	b.SpanParent = 0
 	if tr := e.Tracer(); tr != nil {
@@ -501,14 +619,21 @@ func newTracker(b *Broadcaster, structure string, pending int, done func(Result)
 	return t
 }
 
-func (t *tracker) resolve(id cluster.NodeID, ok bool) {
+// resolve records one target's outcome; attempts is the number of link
+// messages its delivery chain sent (zero when none was sent).
+func (t *tracker) resolve(id cluster.NodeID, ok bool, attempts int) {
 	res := &t.res
+	in := t.b.inst(t.origin)
 	if t.b.OnResolve != nil {
 		t.b.OnResolve(id, ok)
 	}
+	if attempts > 0 {
+		res.Messages += attempts
+		res.Retries += attempts - 1
+	}
 	if ok {
 		res.Delivered++
-		t.b.inst().delivered.Inc()
+		in.delivered.Inc()
 		if t.b.RecordResolved {
 			res.Resolved = append(res.Resolved, id)
 		}
@@ -517,7 +642,7 @@ func (t *tracker) resolve(id cluster.NodeID, ok bool) {
 		}
 	} else {
 		res.Unreachable = append(res.Unreachable, id)
-		t.b.inst().unreachable.Inc()
+		in.unreachable.Inc()
 	}
 	t.pending--
 	if t.pending == 0 {
@@ -525,11 +650,9 @@ func (t *tracker) resolve(id cluster.NodeID, ok bool) {
 	}
 }
 
-func (t *tracker) add(n int) { t.pending += n }
-
 func (t *tracker) finish() {
 	t.res.Elapsed = t.engine.Now() - t.start
-	t.b.inst().elapsed.Observe(int64(t.res.Elapsed))
+	t.b.inst(t.origin).elapsed.Observe(int64(t.res.Elapsed))
 	if tr := t.engine.Tracer(); tr != nil {
 		tr.SetAttrInt(t.span, "delivered", t.res.Delivered)
 		tr.SetAttrInt(t.span, "unreachable", len(t.res.Unreachable))
@@ -540,13 +663,24 @@ func (t *tracker) finish() {
 	}
 }
 
+// adopt records a comm.adopt instant on the sender's cell: a relay failed
+// and its sender takes over its children.
+func (t *tracker) adopt(from, failed cluster.NodeID, children int) {
+	c := t.b.Cluster
+	if tr := c.EngineOf(from).Tracer(); tr != nil && children > 0 {
+		parent, attrs := crossParent(c.CellOf(from), t.cell, t.span,
+			obs.Int("failed", int(failed)), obs.Int("children", children))
+		tr.Instant("comm.adopt", parent, attrs...)
+	}
+}
+
 // Structure is one broadcast topology.
 type Structure interface {
 	// Name identifies the structure in experiment output.
 	Name() string
 	// Broadcast delivers size payload bytes from origin to targets and
-	// invokes done exactly once with the outcome. The targets slice is not
-	// retained.
+	// invokes done exactly once, on the origin's cell, with the outcome.
+	// Call it from the origin's cell. The targets slice is not retained.
 	Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result))
 }
 
@@ -563,10 +697,10 @@ func (Star) Name() string { return "star" }
 
 // Broadcast implements Structure.
 func (Star) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "star", len(targets), done)
+	t := newTracker(b, origin, "star", len(targets), done)
 	chains := make([]chain, len(targets))
 	for i, id := range targets {
-		b.sendChain(&chains[i], origin, id, size, &t.res, t.span, t)
+		b.sendChain(&chains[i], origin, id, size, t, nil)
 	}
 }
 
@@ -582,29 +716,36 @@ func (Ring) Name() string { return "ring" }
 
 // Broadcast implements Structure.
 func (Ring) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "ring", len(targets), done)
-	ids := append([]cluster.NodeID(nil), targets...)
-	var hop func(from cluster.NodeID, idx int)
-	hop = func(from cluster.NodeID, idx int) {
-		if idx >= len(ids) {
-			return
-		}
-		to := ids[idx]
-		// The relay message carries the remaining list.
-		sz := size + (len(ids)-idx)*b.PerNodeListBytes
-		b.send(from, to, sz, &t.res, t.span, okFunc(func(ok bool) {
-			t.resolve(to, ok)
-			if ok {
-				d := b.relayDelay(to)
-				b.Cluster.Node(to).Meter.ChargeCPU(d)
-				b.engine().After(d, func() { hop(to, idx+1) })
-			} else {
-				// Skip the dead node: the same sender tries its successor.
-				hop(from, idx+1)
-			}
-		}))
+	r := &ringCast{t: newTracker(b, origin, "ring", len(targets), done), ids: append([]cluster.NodeID(nil), targets...), size: size}
+	r.hop(origin, 0)
+}
+
+// ringCast is one ring broadcast in flight.
+type ringCast struct {
+	t    *tracker
+	ids  []cluster.NodeID
+	size int
+}
+
+// hop sends from `from` to the target at position idx.
+func (r *ringCast) hop(from cluster.NodeID, idx int) {
+	if idx >= len(r.ids) {
+		return
 	}
-	hop(origin, 0)
+	b := r.t.b
+	// The relay message carries the remaining list.
+	c := &chain{lo: int32(idx)}
+	b.sendChain(c, from, r.ids[idx], r.size+(len(r.ids)-idx)*b.PerNodeListBytes, r.t, r)
+}
+
+func (r *ringCast) relay(c *chain)   { r.t.b.relayAfter(c) }
+func (r *ringCast) forward(c *chain) { r.hop(c.to, int(c.lo)+1) }
+
+func (r *ringCast) resolved(c *chain, ok bool) {
+	if !ok {
+		// Skip the dead node: the same sender tries its successor.
+		r.hop(c.from, int(c.lo)+1)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -625,14 +766,19 @@ type SharedMem struct {
 // Name returns "sharedmem".
 func (SharedMem) Name() string { return "sharedmem" }
 
-// Broadcast implements Structure.
+// Broadcast implements Structure. The fetch service touches every
+// target's meter from the origin's engine, so it needs a one-cell
+// cluster.
 func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
+	if b.Cluster.Cells() > 1 {
+		panic("comm: SharedMem needs a one-cell cluster")
+	}
 	st := s.ServiceTime
 	if st == 0 {
 		st = 1200 * time.Microsecond
 	}
-	e := b.engine()
-	t := newTracker(b, "sharedmem", len(targets), done)
+	e := b.Cluster.Engine
+	t := newTracker(b, origin, "sharedmem", len(targets), done)
 	// Publish: one write into the shared segment.
 	b.Cluster.Node(origin).Meter.ChargeCPU(b.SendOverhead)
 	timeout := b.Cluster.Net.Config().ConnectTimeout
@@ -643,24 +789,24 @@ func (s SharedMem) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cl
 			// A failed node never issues its fetch; the service notices
 			// the missing ack after its timeout when collecting results.
 			e.After(timeout, func() {
-				t.resolve(id, false)
+				t.resolve(id, false, 0)
 			})
 			continue
 		}
 		queue += st
 		delay := queue + b.Cluster.Net.TransferTime(size)
 		t.res.Messages++
-		b.inst().messages.Inc()
+		b.inst(origin).messages.Inc()
 		e.After(delay, func() {
 			// The node may have failed while queued behind earlier fetches
 			// (a mid-broadcast failure): its fetch never happens and the
 			// service notices the missing ack after its timeout.
 			if b.Cluster.Node(id).Failed() {
-				e.After(timeout, func() { t.resolve(id, false) })
+				e.After(timeout, func() { t.resolve(id, false, 0) })
 				return
 			}
 			b.Cluster.Node(id).Meter.CountMessage(false, size)
-			t.resolve(id, true)
+			t.resolve(id, true, 0)
 		})
 	}
 }
@@ -688,67 +834,58 @@ func (k KTree) width() int {
 
 // Broadcast implements Structure.
 func (k KTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	span := b.engine().Tracer().Start("fptree.build", b.SpanParent,
+	trc := b.Cluster.EngineOf(origin).Tracer()
+	span := trc.Start("fptree.build", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", k.width()))
 	tr := fptree.Build(append([]cluster.NodeID(nil), targets...), k.width())
-	b.engine().Tracer().End(span)
+	trc.End(span)
 	broadcastTree(b, "tree", origin, tr, size, done)
 }
 
 // broadcastTree relays a payload down a materialized tree with parent-
 // adoption fault tolerance.
 func broadcastTree(b *Broadcaster, structure string, origin cluster.NodeID, tr *fptree.Tree[cluster.NodeID], size int, done func(Result)) {
-	e := b.engine()
-	t := newTracker(b, structure, tr.Size(), done)
-
-	var dispatch func(from cluster.NodeID, n *fptree.Node[cluster.NodeID])
-	subtreeSize := func(n *fptree.Node[cluster.NodeID]) int {
-		// Count nodes in the subtree for message sizing.
-		c := 1
-		var rec func(m *fptree.Node[cluster.NodeID])
-		rec = func(m *fptree.Node[cluster.NodeID]) {
-			for _, ch := range m.Children {
-				c++
-				rec(ch)
-			}
-		}
-		rec(n)
-		return c
-	}
-	dispatch = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
-		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &t.res, t.span, okFunc(func(ok bool) {
-			t.resolve(n.Value, ok)
-			if ok {
-				if len(n.Children) == 0 {
-					return
-				}
-				d := b.relayDelay(n.Value)
-				b.Cluster.Node(n.Value).Meter.ChargeCPU(d)
-				e.After(d, func() {
-					for _, ch := range n.Children {
-						dispatch(n.Value, ch)
-					}
-				})
-				return
-			}
-			// Fault tolerance: the parent adopts the failed child's
-			// children and contacts them directly.
-			if tr := e.Tracer(); tr != nil && len(n.Children) > 0 {
-				tr.Instant("comm.adopt", t.span,
-					obs.Int("failed", int(n.Value)), obs.Int("children", len(n.Children)))
-			}
-			for _, ch := range n.Children {
-				dispatch(from, ch)
-			}
-		}))
-	}
+	tc := &treeCast{t: newTracker(b, origin, structure, tr.Size(), done), size: size}
 	for _, r := range tr.Roots {
-		dispatch(origin, r)
+		tc.dispatch(origin, r)
 	}
-	if len(tr.Roots) == 0 {
-		// Empty target list: tracker already finished.
-		_ = t
+}
+
+// treeCast is one tree broadcast in flight.
+type treeCast struct {
+	t    *tracker
+	size int
+}
+
+// dispatch sends from `from` to the root of subtree n; the message
+// carries the subtree's sub-nodelist.
+func (tc *treeCast) dispatch(from cluster.NodeID, n *fptree.Node[cluster.NodeID]) {
+	b := tc.t.b
+	c := &chain{node: n}
+	b.sendChain(c, from, n.Value, tc.size+n.Size*b.PerNodeListBytes, tc.t, tc)
+}
+
+func (tc *treeCast) relay(c *chain) {
+	if len(c.node.Children) > 0 {
+		tc.t.b.relayAfter(c)
+	}
+}
+
+func (tc *treeCast) forward(c *chain) {
+	for _, ch := range c.node.Children {
+		tc.dispatch(c.to, ch)
+	}
+}
+
+func (tc *treeCast) resolved(c *chain, ok bool) {
+	if ok {
+		return
+	}
+	// Fault tolerance: the parent adopts the failed child's children and
+	// contacts them directly.
+	tc.t.adopt(c.from, c.to, len(c.node.Children))
+	for _, ch := range c.node.Children {
+		tc.dispatch(c.from, ch)
 	}
 }
 
@@ -815,7 +952,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 	if pred == nil {
 		pred = predict.Null{}
 	}
-	trc := b.engine().Tracer()
+	trc := b.Cluster.EngineOf(origin).Tracer()
 	span := trc.Start("fptree.plan", b.SpanParent,
 		obs.Int("targets", len(targets)), obs.Int("width", f.width()))
 	list := f.Plan(targets)
@@ -828,7 +965,7 @@ func (f FPTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []clust
 		f.Stats.NodesTotal += len(list)
 		slots := fptree.LeafSlots(len(list), f.width())
 		for i, id := range list {
-			if b.Cluster.Node(id).Failed() {
+			if b.Cluster.FailedOn(origin, id) {
 				f.Stats.FailedEncountered++
 				if slots[i] && pred.Predicted(id) {
 					f.Stats.FailedAtLeaves++
@@ -855,39 +992,44 @@ func (Binomial) Name() string { return "binomial" }
 
 // Broadcast implements Structure.
 func (Binomial) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(Result)) {
-	t := newTracker(b, "binomial", len(targets), done)
-	ids := append([]cluster.NodeID(nil), targets...)
+	bc := &binomialCast{t: newTracker(b, origin, "binomial", len(targets), done), ids: append([]cluster.NodeID(nil), targets...), size: size}
+	bc.block(origin, 0, len(bc.ids))
+}
 
-	// relay(holder, lo, hi): holder (origin for the root call, otherwise
-	// ids[lo-1]'s owner) is responsible for delivering ids[lo:hi). It
-	// sends to the block's head, then splits: the head takes the upper
-	// half, the holder keeps recursing on the lower half — the standard
-	// binomial recursion.
-	var relay func(holder cluster.NodeID, lo, hi int)
-	relay = func(holder cluster.NodeID, lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		head := ids[lo]
-		sz := size + (hi-lo)*b.PerNodeListBytes
-		b.send(holder, head, sz, &t.res, t.span, okFunc(func(ok bool) {
-			t.resolve(head, ok)
-			mid := lo + 1 + (hi-lo-1)/2
-			if ok {
-				d := b.relayDelay(head)
-				b.Cluster.Node(head).Meter.ChargeCPU(d)
-				b.engine().After(d, func() { relay(head, mid, hi) })
-				relay(holder, lo+1, mid)
-				return
-			}
-			// Fault tolerance: the holder keeps both halves.
-			if tr := b.engine().Tracer(); tr != nil && hi-lo > 1 {
-				tr.Instant("comm.adopt", t.span,
-					obs.Int("failed", int(head)), obs.Int("children", hi-lo-1))
-			}
-			relay(holder, mid, hi)
-			relay(holder, lo+1, mid)
-		}))
+// binomialCast is one binomial broadcast in flight.
+type binomialCast struct {
+	t    *tracker
+	ids  []cluster.NodeID
+	size int
+}
+
+// block: holder (origin for the root call, otherwise the node that
+// received ids[lo:hi) to relay) is responsible for delivering ids[lo:hi).
+// It sends to the block's head; the head takes the upper half, the
+// holder keeps the lower half — the standard binomial recursion.
+func (bc *binomialCast) block(holder cluster.NodeID, lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	relay(origin, 0, len(ids))
+	b := bc.t.b
+	c := &chain{lo: int32(lo), hi: int32(hi)}
+	b.sendChain(c, holder, bc.ids[lo], bc.size+(hi-lo)*b.PerNodeListBytes, bc.t, bc)
+}
+
+// mid splits a chain's block after its head.
+func (c *chain) mid() int { return int(c.lo) + 1 + int(c.hi-c.lo-1)/2 }
+
+func (bc *binomialCast) relay(c *chain)   { bc.t.b.relayAfter(c) }
+func (bc *binomialCast) forward(c *chain) { bc.block(c.to, c.mid(), int(c.hi)) }
+
+func (bc *binomialCast) resolved(c *chain, ok bool) {
+	lo, hi := int(c.lo), int(c.hi)
+	if ok {
+		bc.block(c.from, lo+1, c.mid())
+		return
+	}
+	// Fault tolerance: the holder keeps both halves.
+	bc.t.adopt(c.from, c.to, hi-lo-1)
+	bc.block(c.from, c.mid(), hi)
+	bc.block(c.from, lo+1, c.mid())
 }

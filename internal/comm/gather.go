@@ -71,8 +71,13 @@ func (g GatherTree) Broadcast(b *Broadcaster, origin cluster.NodeID, targets []c
 }
 
 // BroadcastGather runs the broadcast+gather and reports the GatherResult.
+// Its relays run their gather bookkeeping on the origin's engine, so it
+// needs a one-cell cluster.
 func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targets []cluster.NodeID, size int, done func(GatherResult)) {
-	e := b.engine()
+	if b.Cluster.Cells() > 1 {
+		panic("comm: GatherTree needs a one-cell cluster")
+	}
+	e := b.Cluster.Engine
 	start := e.Now()
 	pred := g.Predictor
 	if pred == nil {
@@ -92,25 +97,12 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 	res := GatherResult{}
 	var lastDelivery time.Duration
 
-	subtreeSize := func(n *fptree.Node[cluster.NodeID]) int {
-		c := 1
-		var rec func(m *fptree.Node[cluster.NodeID])
-		rec = func(m *fptree.Node[cluster.NodeID]) {
-			for _, ch := range m.Children {
-				c++
-				rec(ch)
-			}
-		}
-		rec(n)
-		return c
-	}
-
 	// visit delivers the payload to n's subtree from `from` and invokes
 	// reply exactly once with the subtree's merged acknowledgement.
 	var visit func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply))
 	visit = func(from cluster.NodeID, n *fptree.Node[cluster.NodeID], reply func(subReply)) {
-		sz := size + subtreeSize(n)*b.PerNodeListBytes
-		b.send(from, n.Value, sz, &res.Result, span, okFunc(func(delivered bool) {
+		sz := size + n.Size*b.PerNodeListBytes
+		b.sendUnder(span, &res.Result, from, n.Value, sz, func(delivered bool) {
 			if !delivered {
 				// Adoption: `from` contacts the dead child's children
 				// directly and merges their replies itself.
@@ -148,7 +140,7 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 				// degraded to local bookkeeping so the gather still
 				// terminates.
 				aggSz := (len(merged.ok) + len(merged.bad)) * g.ackBytes()
-				b.send(n.Value, from, aggSz, &res.Result, span, okFunc(func(bool) { reply(merged) }))
+				b.sendUnder(span, &res.Result, n.Value, from, aggSz, func(bool) { reply(merged) })
 			}
 			if len(n.Children) == 0 {
 				e.After(b.relayDelay(n.Value), finish)
@@ -167,13 +159,13 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 					})
 				}
 			})
-		}))
+		})
 	}
 
 	// seal finalizes the registry instruments and the root span once the
 	// origin holds the complete aggregate (or the target list was empty).
 	seal := func() {
-		in := b.inst()
+		in := b.inst(origin)
 		in.delivered.Add(int64(res.Delivered))
 		in.unreachable.Add(int64(len(res.Unreachable)))
 		in.elapsed.Observe(int64(res.Elapsed))
@@ -210,4 +202,27 @@ func (g GatherTree) BroadcastGather(b *Broadcaster, origin cluster.NodeID, targe
 			}
 		})
 	}
+}
+
+// sendUnder sends one point-to-point message whose delivery-chain span
+// nests under span and whose messages and retries count into res.
+func (b *Broadcaster) sendUnder(span obs.SpanID, res *Result, from, to cluster.NodeID, size int, cb func(ok bool)) {
+	b.SpanParent = span
+	b.send(from, to, size, nil, countedFunc{res, cb})
+}
+
+// countedFunc is okFunc that also counts the chain's messages and
+// retries into a Result.
+type countedFunc struct {
+	res *Result
+	cb  func(ok bool)
+}
+
+func (countedFunc) relay(*chain)   {}
+func (countedFunc) forward(*chain) {}
+
+func (f countedFunc) resolved(c *chain, ok bool) {
+	f.res.Messages += int(c.attempts)
+	f.res.Retries += int(c.attempts) - 1
+	f.cb(ok)
 }

@@ -69,7 +69,7 @@ func TestMidBroadcastFailureAllStructures(t *testing.T) {
 			c := cluster.New(e, cluster.Config{Computes: computes, Satellites: 1})
 			targets := c.Computes()
 			for _, i := range failIdx {
-				c.ScheduleFailure(targets[i], failAt, 0) // never recovers
+				c.ScheduleFail(targets[i], failAt, 0) // never recovers
 			}
 			b := NewBroadcaster(c)
 			b.RecordResolved = true
@@ -123,7 +123,7 @@ func TestMidBroadcastGatherDegradedBookkeeping(t *testing.T) {
 		// ID-ordered lists; killing the first three guarantees dead
 		// parents with live children.
 		for _, i := range []int{0, 1, 2} {
-			c.ScheduleFailure(targets[i], failAt, 0)
+			c.ScheduleFail(targets[i], failAt, 0)
 		}
 		b := NewBroadcaster(c)
 		b.RecordResolved = true

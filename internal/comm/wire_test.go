@@ -10,6 +10,11 @@ import (
 	"eslurm/internal/simnet"
 )
 
+// waitFunc adapts a closure to waiter.
+type waitFunc func()
+
+func (f waitFunc) start() { f() }
+
 // TestLimiterFIFOReusesStorage: waiters start in arrival order, and a
 // line that never empties (one push per pop, as under a steady heartbeat
 // backlog) keeps its storage bounded instead of growing with every push.

@@ -180,8 +180,16 @@ type Master struct {
 }
 
 // NewMaster wires an ESlurm master over a cluster. The predictor may be
-// nil (no failure prediction: FP-Tree degenerates to a plain tree).
+// nil (no failure prediction: FP-Tree degenerates to a plain tree). The
+// cluster may span several cells, but the satellites must share the
+// master's cell: the master drives their state machine and meters
+// directly, and every FP-Tree broadcast originates there.
 func NewMaster(c *cluster.Cluster, cfg Config, p predict.Predictor) *Master {
+	for _, id := range c.Satellites() {
+		if c.CellOf(id) != c.CellOf(c.Master().ID) {
+			panic("core: satellites must be homed on the master's cell")
+		}
+	}
 	if cfg.TreeWidth == 0 {
 		cfg = DefaultConfig()
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"eslurm/internal/testutil"
 )
 
 // parseDur converts the table-formatted duration strings back to a
@@ -106,30 +108,105 @@ func TestFig5Shapes(t *testing.T) {
 	}
 }
 
+// TestFig7fShape checks the Fig. 7f claims on both layouts: one cell and
+// rack cells.
 func TestFig7fShape(t *testing.T) {
-	tb := Fig7f(512, []int{32, 512})
-	if len(tb.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 RMs", len(tb.Rows))
-	}
-	byName := map[string][]string{}
-	for _, r := range tb.Rows {
-		byName[r[0]] = r
-	}
-	// SGE's RM overhead (occupation minus the fixed 10s runtime) explodes
-	// with size; ESlurm stays below 15s total.
-	sgeSmall := parseDur(t, byName["SGE"][1]) - 10*time.Second
-	sgeBig := parseDur(t, byName["SGE"][2]) - 10*time.Second
-	if sgeBig < 5*sgeSmall {
-		t.Errorf("SGE overhead did not degrade: %v -> %v", sgeSmall, sgeBig)
-	}
-	for _, cell := range byName["ESlurm"][1:] {
-		if d := parseDur(t, cell); d > 15*time.Second {
-			t.Errorf("ESlurm occupation %v exceeds 15s", d)
+	for _, shards := range []int{0, 2} {
+		tb := Fig7f(512, []int{32, 512}, shards)
+		if len(tb.Rows) != 6 {
+			t.Fatalf("shards=%d: rows = %d, want 6 RMs", shards, len(tb.Rows))
+		}
+		byName := map[string][]string{}
+		for _, r := range tb.Rows {
+			byName[r[0]] = r
+		}
+		// SGE's RM overhead (occupation minus the fixed 10s runtime)
+		// explodes with size; ESlurm stays below 15s total.
+		sgeSmall := parseDur(t, byName["SGE"][1]) - 10*time.Second
+		sgeBig := parseDur(t, byName["SGE"][2]) - 10*time.Second
+		if sgeBig < 5*sgeSmall {
+			t.Errorf("shards=%d: SGE overhead did not degrade: %v -> %v", shards, sgeSmall, sgeBig)
+		}
+		for _, cell := range byName["ESlurm"][1:] {
+			if d := parseDur(t, cell); d > 15*time.Second {
+				t.Errorf("shards=%d: ESlurm occupation %v exceeds 15s", shards, d)
+			}
+		}
+		if eBig := parseDur(t, byName["ESlurm"][2]); eBig >= sgeBig+10*time.Second {
+			t.Errorf("shards=%d: ESlurm (%v) not faster than SGE (%v) at full size", shards, eBig, sgeBig+10*time.Second)
 		}
 	}
-	if eBig := parseDur(t, byName["ESlurm"][2]); eBig >= sgeBig+10*time.Second {
-		t.Errorf("ESlurm (%v) not faster than SGE (%v) at full size", eBig, sgeBig+10*time.Second)
+}
+
+// TestFig10Shape checks the Fig. 10 claims at the quick preset on both
+// layouts: at every scale ESlurm has the lowest average wait and the
+// lowest average bounded slowdown of the RMs deployable there, and at
+// the largest scale its utilization is at least Slurm's.
+func TestFig10Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the quick-preset Fig. 10 on both layouts")
 	}
+	layouts := []int{0, 2}
+	if testutil.RaceEnabled {
+		// The rack-layout probes exceed the race detector's budget; the
+		// layout's race coverage comes from the comm and cluster tests.
+		layouts = layouts[:1]
+	}
+	p := QuickParams()
+	for _, shards := range layouts {
+		util, wait, slow := fig10Columns(t, Fig10(p.Fig10Scales, p.Fig10Jobs, shards))
+		for col := range p.Fig10Scales {
+			for _, m := range []struct {
+				name string
+				vals map[string][]float64
+			}{{"wait", wait}, {"slowdown", slow}} {
+				es := m.vals["ESlurm"][col]
+				for rm, v := range m.vals {
+					if rm != "ESlurm" && v[col] >= 0 && v[col] <= es {
+						t.Errorf("shards=%d scale %d: %s %s %v not above ESlurm's %v",
+							shards, p.Fig10Scales[col], rm, m.name, v[col], es)
+					}
+				}
+			}
+		}
+		last := len(p.Fig10Scales) - 1
+		if es, sl := util["ESlurm"][last], util["Slurm"][last]; es < sl {
+			t.Errorf("shards=%d: ESlurm utilization %v%% below Slurm's %v%% at %d nodes",
+				shards, es, sl, p.Fig10Scales[last])
+		}
+	}
+}
+
+// fig10Columns parses Fig. 10's three tables into per-RM value rows:
+// utilization in percent, wait in hours, bounded slowdown. A "-" cell
+// (RM not deployable at that scale) reads as -1.
+func fig10Columns(t *testing.T, tabs []*Table) (util, wait, slow map[string][]float64) {
+	t.Helper()
+	if len(tabs) != 3 {
+		t.Fatalf("fig10 tables = %d, want 3", len(tabs))
+	}
+	parse := func(tb *Table, cell func(string) float64) map[string][]float64 {
+		out := map[string][]float64{}
+		for _, r := range tb.Rows {
+			for _, c := range r[1:] {
+				v := -1.0
+				if c != "-" {
+					v = cell(c)
+				}
+				out[r[0]] = append(out[r[0]], v)
+			}
+		}
+		return out
+	}
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
+		if err != nil {
+			t.Fatalf("unparsable fig10 cell %q", s)
+		}
+		return v
+	}
+	hours := func(s string) float64 { return parseDur(t, s).Hours() }
+	return parse(tabs[0], num), parse(tabs[1], hours), parse(tabs[2], num)
 }
 
 func TestFig8aShape(t *testing.T) {
@@ -211,7 +288,7 @@ func TestQuickSuiteSmoke(t *testing.T) {
 		t.Skip("quick suite still takes tens of seconds")
 	}
 	// The smallest representative run of the estimator + sched drivers.
-	tabs := Fig10([]int{256}, 800)
+	tabs := Fig10([]int{256}, 800, 0)
 	if len(tabs) != 3 {
 		t.Fatalf("fig10 tables = %d", len(tabs))
 	}

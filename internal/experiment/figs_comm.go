@@ -12,6 +12,7 @@ import (
 	"eslurm/internal/predict"
 	"eslurm/internal/rm"
 	"eslurm/internal/simnet"
+	"eslurm/internal/topo"
 )
 
 // failSpread fails `count` compute nodes spread uniformly across the
@@ -37,7 +38,8 @@ func failSpread(c *cluster.Cluster, count int) map[cluster.NodeID]bool {
 // Fig7f reproduces the job-occupation-time experiment: parallel jobs of
 // different sizes with a fixed 10 s runtime loaded through each of the six
 // RMs; occupation spans allocation, spawn, the run itself, and reclaim.
-func Fig7f(clusterNodes int, sizes []int) *Table {
+// shards picks the cluster layout (see OccupationProbe).
+func Fig7f(clusterNodes int, sizes []int, shards int) *Table {
 	if len(sizes) == 0 {
 		sizes = []int{64, 256, 1024, 2048, 4096}
 	}
@@ -46,30 +48,23 @@ func Fig7f(clusterNodes int, sizes []int) *Table {
 		Title:   fmt.Sprintf("Job occupation time vs job size (%d-node cluster, 10s jobs)", clusterNodes),
 		Columns: append([]string{"RM"}, sizesHeader(sizes)...),
 	}
-	type mk struct {
-		name string
-		new  func(c *cluster.Cluster) rm.RM
-	}
-	mks := []mk{
-		{"SGE", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SGEProfile()) }},
-		{"Torque", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.TorqueProfile()) }},
-		{"OpenPBS", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.OpenPBSProfile()) }},
-		{"LSF", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.LSFProfile()) }},
-		{"Slurm", func(c *cluster.Cluster) rm.RM { return rm.NewCentralized(c, rm.SlurmProfile()) }},
-		{"ESlurm", func(c *cluster.Cluster) rm.RM { return rm.NewESlurm(c) }},
-	}
-	for _, m := range mks {
-		row := []string{m.name}
+	for _, name := range rm.Names() {
+		mk := func(c *cluster.Cluster) rm.RM { return rm.NewShardedByName(name, c) }
+		row := []string{name}
 		for _, size := range sizes {
 			if size > clusterNodes {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, fmtDur(OccupationTime(m.new, clusterNodes, size)))
+			row = append(row, fmtDur(OccupationTime(mk, clusterNodes, size, shards)))
 		}
 		t.AddRow(row...)
 	}
 	t.Note = "paper: SGE/Torque/OpenPBS explode past 1K nodes; ESlurm stays below 15s at every size"
+	if shards > 0 {
+		t.Title = fmt.Sprintf("Job occupation time vs job size (%d-node cluster, 10s jobs, rack cells)", clusterNodes)
+		t.Note = "rack cells: cross-cell deliveries are acknowledged one link latency later; shapes match the one-cell run"
+	}
 	return t
 }
 
@@ -84,25 +79,65 @@ func sizesHeader(sizes []int) []string {
 // OccupationTime measures one job's occupation (submit → resources fully
 // released) of the given size on an otherwise idle cluster under the given
 // RM: allocation+spawn (load), the fixed 10 s run, and reclaim (term).
-func OccupationTime(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int) time.Duration {
-	load, term := OccupationProbe(mk, clusterNodes, jobNodes, 0)
+func OccupationTime(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes, shards int) time.Duration {
+	load, term := OccupationProbe(mk, clusterNodes, jobNodes, 0, shards)
 	return load + 10*time.Second + term
+}
+
+// probeSatellites sizes the probe cluster's satellite pool: about one
+// satellite per 5K computes (the paper's ratio), at least two from 1K
+// nodes up.
+func probeSatellites(clusterNodes int) int {
+	if clusterNodes >= 1024 {
+		return 2 + clusterNodes/5120
+	}
+	return 1
+}
+
+// shardLayout returns the cell count and node→cell mapping of the rack
+// layout: cell 0 holds the control plane (master + satellites), and every
+// compute rack (512 nodes under the default Tianhe-like hierarchy) is its
+// own cell. The layout is a function of the cluster shape alone, so
+// results are invariant under the worker count.
+func shardLayout(computes, satellites int) (cells int, cellOf func(cluster.NodeID, cluster.Role) int) {
+	tp := topo.Default()
+	per := tp.NodesPerRack()
+	racks := max((computes+per-1)/per, 1)
+	firstCompute := 1 + satellites
+	return 1 + racks, func(id cluster.NodeID, role cluster.Role) int {
+		if role != cluster.RoleCompute {
+			return 0
+		}
+		return 1 + tp.Rack(cluster.NodeID(int(id)-firstCompute))
+	}
+}
+
+// probeCluster builds an occupation probe's cluster: one cell on a fresh
+// engine when shards is 0, otherwise the rack layout executed on shards
+// window workers.
+func probeCluster(clusterNodes, shards int) *cluster.Cluster {
+	sats := probeSatellites(clusterNodes)
+	if shards <= 0 {
+		return cluster.New(simnet.NewEngine(42), cluster.Config{Computes: clusterNodes, Satellites: sats})
+	}
+	cells, cellOf := shardLayout(clusterNodes, sats)
+	return cluster.NewSharded(cluster.ShardConfig{
+		Computes: clusterNodes, Satellites: sats,
+		Cells: cells, CellOf: cellOf, Workers: shards, Seed: 42,
+	})
 }
 
 // OccupationProbe measures the RM's job load and termination latencies for
 // one job of the given size, with failedFrac of the cluster's nodes down
 // (the production failure background). The scheduling drivers call it per
-// job size to build their sched.Overhead lookups.
-func OccupationProbe(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64) (load, term time.Duration) {
-	e := simnet.NewEngine(42)
-	satellites := 1
-	if clusterNodes >= 1024 {
-		satellites = 2 + clusterNodes/5120 // paper: ~1 satellite per 5K slaves
-	}
-	c := cluster.New(e, cluster.Config{Computes: clusterNodes, Satellites: satellites})
+// job size to build their sched.Overhead lookups. shards picks the
+// layout exactly as benchrunner's -shards flag does: 0 runs one cell, N
+// runs the rack layout on N window workers; results do not depend on N.
+func OccupationProbe(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes int, failedFrac float64, shards int) (load, term time.Duration) {
+	c := probeCluster(clusterNodes, shards)
 	r := mk(c)
 	r.Start()
-	e.RunUntil(2 * time.Second)
+	c.RunUntil(2 * time.Second)
 	if failedFrac > 0 {
 		// Fail nodes outside the probed job (a failed allocation would be
 		// replaced by the scheduler); the broadcast still traverses them
@@ -112,14 +147,21 @@ func OccupationProbe(mk func(c *cluster.Cluster) rm.RM, clusterNodes, jobNodes i
 		failSpread(c, int(float64(jobNodes)*failedFrac))
 	}
 	nodes := c.Computes()[:jobNodes]
-	start := e.Now()
+	start := c.Now()
 	r.LoadJob(nodes, func(d time.Duration) { load = d })
-	e.RunUntil(start + 30*time.Minute)
-	termStart := e.Now()
+	c.RunUntil(start + 30*time.Minute)
+	termStart := c.Now()
 	r.TerminateJob(nodes, func(d time.Duration) { term = d })
-	e.RunUntil(termStart + 30*time.Minute)
+	c.RunUntil(termStart + 30*time.Minute)
 	r.Stop()
 	return load, term
+}
+
+// ShardAware reports whether an experiment honors Params.Shards (picks
+// the rack layout when shards > 0). The remaining experiments always run
+// one cell regardless of the flag.
+func ShardAware(id string) bool {
+	return id == "fig7f" || id == "fig10"
 }
 
 // Fig8a reproduces the message-broadcast-time comparison for the job

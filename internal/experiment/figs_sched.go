@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"eslurm/internal/cluster"
@@ -14,8 +15,9 @@ import (
 )
 
 // overheadLookup builds a sched.Overhead from a handful of occupation
-// probes, interpolating linearly between probed sizes.
-func overheadLookup(mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedFrac float64) sched.Overhead {
+// probes on the layout shards picks, interpolating linearly between
+// probed sizes.
+func overheadLookup(mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedFrac float64, shards int) sched.Overhead {
 	var sizes []int
 	for _, s := range []int{16, 64, 256, 1024, 4096, 16384} {
 		if s < clusterNodes {
@@ -26,7 +28,7 @@ func overheadLookup(mk func(c *cluster.Cluster) rm.RM, clusterNodes int, failedF
 	loads := make([]time.Duration, len(sizes))
 	terms := make([]time.Duration, len(sizes))
 	for i, s := range sizes {
-		loads[i], terms[i] = OccupationProbe(mk, clusterNodes, s, failedFrac)
+		loads[i], terms[i] = OccupationProbe(mk, clusterNodes, s, failedFrac, shards)
 	}
 	return func(n int) (time.Duration, time.Duration) {
 		if n <= sizes[0] {
@@ -64,8 +66,10 @@ func responsePenalty(name string, nodes int) time.Duration {
 // Fig10 reproduces the cluster-scale scheduling comparison of Fig. 10 /
 // Table VII: system utilization, average waiting time and average bounded
 // slowdown for the RMs deployable at each scale, replaying a synthetic
-// one-week-like trace (jobsPerScale jobs) under EASY backfill.
-func Fig10(scales []int, jobsPerScale int) []*Table {
+// one-week-like trace (jobsPerScale jobs) under EASY backfill. shards
+// picks the layout of the occupation probes behind each RM's
+// communication overheads (see OccupationProbe).
+func Fig10(scales []int, jobsPerScale, shards int) []*Table {
 	if len(scales) == 0 {
 		scales = []int{1024, 4096, 16384, 20480}
 	}
@@ -110,7 +114,7 @@ func Fig10(scales []int, jobsPerScale int) []*Table {
 				sRow = append(sRow, "-")
 				continue
 			}
-			res := runFig10Cell(ct.name, ct.mk, scale, jobsPerScale)
+			res := runFig10Cell(ct.name, ct.mk, scale, jobsPerScale, shards)
 			uRow = append(uRow, fmtPct(res.Utilization))
 			wRow = append(wRow, fmtDur(res.AvgWait))
 			sRow = append(sRow, fmt.Sprintf("%.1f", res.AvgBoundedSlowdown))
@@ -120,6 +124,12 @@ func Fig10(scales []int, jobsPerScale int) []*Table {
 		slow.AddRow(sRow...)
 	}
 	note := "paper (full-scale NG-Tianhe): ESlurm +47.2% utilization vs Slurm, -60.5% wait, -75.8% slowdown; utilization falls with scale for all RMs"
+	if shards > 0 {
+		for _, t := range []*Table{util, wait, slow} {
+			t.Title = strings.TrimSuffix(t.Title, ")") + ", rack cells)"
+		}
+		note = "rack cells: same replay and penalties, communication overheads probed with acknowledged cross-cell deliveries"
+	}
 	util.Note, wait.Note, slow.Note = note, note, note
 	return []*Table{util, wait, slow}
 }
@@ -162,20 +172,15 @@ func scaleTrace(scale, jobs int) []trace.Job {
 	return trace.Generate(mk(calibrated)).Jobs
 }
 
-func runFig10Cell(name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs int) sched.Result {
-	penalty := responsePenalty(name, scale)
-	base := overheadLookup(mk, scale, 0.01)
-	cfg := fig10SchedConfig(name, scale, withPenalty(base, penalty))
-	return sched.Run(scaleTrace(scale, jobs), cfg)
-}
-
-// fig10SchedConfig builds the per-cell scheduler config shared by the
-// single-engine and sharded Fig. 10 drivers.
-func fig10SchedConfig(name string, scale int, overhead sched.Overhead) sched.Config {
+// runFig10Cell replays one Fig. 10 table cell: the scale's trace under
+// EASY backfill, with the RM's probed communication overheads plus its
+// response penalty.
+func runFig10Cell(name string, mk func(c *cluster.Cluster) rm.RM, scale, jobs, shards int) sched.Result {
+	base := overheadLookup(mk, scale, 0.01, shards)
 	cfg := sched.Config{
 		Nodes:       scale,
 		Policy:      sched.Backfill,
-		Overhead:    overhead,
+		Overhead:    withPenalty(base, responsePenalty(name, scale)),
 		KillAtLimit: true,
 		UtilWindow:  7 * 24 * time.Hour,
 		Seed:        int64(scale),
@@ -189,7 +194,7 @@ func fig10SchedConfig(name string, scale int, overhead sched.Overhead) sched.Con
 		cfg.CrashMTBF = time.Duration(float64(42*time.Hour) * 20480.0 / float64(scale))
 		cfg.CrashDowntime = 90 * time.Minute
 	}
-	return cfg
+	return sched.Run(scaleTrace(scale, jobs), cfg)
 }
 
 // Ablation reproduces the §VII-D contribution analysis at full NG-Tianhe
@@ -231,13 +236,13 @@ func Ablation(scale, jobs int) *Table {
 		return sched.Run(jobsList, cfg)
 	}
 
-	esOverhead := overheadLookup(esMk, scale, 0.01)
+	esOverhead := overheadLookup(esMk, scale, 0.01, 0)
 	// Without FP-Tree: prediction disabled, so the satellite relays pay
 	// timeouts on failed interior nodes.
 	noFPOverhead := overheadLookup(func(c *cluster.Cluster) rm.RM {
 		return rm.NewESlurm(c)
-	}, scale, 0.01)
-	slurmOverhead := overheadLookup(slurmMk, scale, 0.01)
+	}, scale, 0.01, 0)
+	slurmOverhead := overheadLookup(slurmMk, scale, 0.01, 0)
 
 	addRow := func(name string, r sched.Result) {
 		t.AddRow(name, fmtPct(r.Utilization), fmtDur(r.AvgWait), fmt.Sprintf("%.1f", r.AvgBoundedSlowdown))
@@ -273,7 +278,7 @@ func OccupationProbeLookup(rmName string, clusterNodes int) sched.Overhead {
 	default:
 		return nil
 	}
-	return overheadLookup(mk, clusterNodes, 0.01)
+	return overheadLookup(mk, clusterNodes, 0.01, 0)
 }
 
 func withPenalty(base sched.Overhead, p time.Duration) sched.Overhead {

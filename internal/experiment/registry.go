@@ -31,10 +31,10 @@ type Params struct {
 	Fig10Jobs     int
 	AblationScale int
 	AblationJobs  int
-	// Shards selects the execution kernel for shard-aware experiments
-	// (see ShardAware): 0 runs the legacy single-engine path; N >= 1 runs
-	// the sharded kernel on N worker goroutines. Results are invariant
-	// across N >= 1 but are a separate pinned contract from N == 0.
+	// Shards selects the cluster layout of shard-aware experiments (see
+	// ShardAware): 0 runs one cell; N >= 1 runs rack cells on N window
+	// workers. Results are invariant across N >= 1 but differ from one
+	// cell, since cross-cell deliveries are acknowledged.
 	Shards int
 }
 
@@ -85,12 +85,7 @@ func Registry() []Spec {
 		{"table1", "Table I", func(p Params) []*Table { return []*Table{Table1()} }},
 		{"fig5", "Fig. 5a-c", func(p Params) []*Table { return Fig5(p.Fig5Jobs) }},
 		{"fig7", "Fig. 7a-e", func(p Params) []*Table { return []*Table{Fig7(p.Fig7Nodes, p.Fig7Span)} }},
-		{"fig7f", "Fig. 7f", func(p Params) []*Table {
-			if p.Shards > 0 {
-				return []*Table{Fig7fSharded(p.Fig7fNodes, nil, p.Shards)}
-			}
-			return []*Table{Fig7f(p.Fig7fNodes, nil)}
-		}},
+		{"fig7f", "Fig. 7f", func(p Params) []*Table { return []*Table{Fig7f(p.Fig7fNodes, nil, p.Shards)} }},
 		{"fig8a", "Fig. 8a", func(p Params) []*Table { return []*Table{Fig8a(p.Fig8Nodes)} }},
 		{"fig8b", "Fig. 8b", func(p Params) []*Table { return []*Table{Fig8b(p.Fig8Nodes, nil)} }},
 		{"placement", "§VII-A placement stats", func(p Params) []*Table {
@@ -103,12 +98,7 @@ func Registry() []Spec {
 		{"fig11a", "Fig. 11a", func(p Params) []*Table {
 			return []*Table{Fig11a(p.Fig11aNodes, nil)}
 		}},
-		{"fig10", "Fig. 10a-c", func(p Params) []*Table {
-			if p.Shards > 0 {
-				return Fig10Sharded(p.Fig10Scales, p.Fig10Jobs, p.Shards)
-			}
-			return Fig10(p.Fig10Scales, p.Fig10Jobs)
-		}},
+		{"fig10", "Fig. 10a-c", func(p Params) []*Table { return Fig10(p.Fig10Scales, p.Fig10Jobs, p.Shards) }},
 		{"ablation", "§VII-D contributions", func(p Params) []*Table {
 			return []*Table{Ablation(p.AblationScale, p.AblationJobs)}
 		}},

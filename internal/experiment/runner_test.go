@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +84,12 @@ func TestRunConcurrentMatchesSerialQuick(t *testing.T) {
 	specs := Registry()
 	p := QuickParams()
 	serial := renderEmitted(specs, p, 1)
+	// The sha256 of `benchrunner -all`'s stdout: every quick-preset table
+	// byte for byte. A change that moves any number moves this.
+	const want = "d54cd0abfa101b9d6b59bbe186e7b22e221c1a0b72e8b889b905a279c2c36d1d"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serial))); got != want {
+		t.Errorf("quick-preset rendering sha256 %s, want pinned %s", got, want)
+	}
 	parallel := renderEmitted(specs, p, 8)
 	if serial != parallel {
 		t.Fatal("quick-preset parallel output diverged from serial")

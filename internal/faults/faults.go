@@ -73,7 +73,7 @@ func (cp *Campaign) inject(node cluster.NodeID, at, down time.Duration, rack int
 	if !silent {
 		cp.Monitor.NoticeImpendingFailure(node, at)
 	}
-	cp.Cluster.ScheduleFailure(node, at, down)
+	cp.Cluster.ScheduleFail(node, at, down)
 	cp.Events = append(cp.Events, Event{Node: node, At: at, Down: down, Silent: silent, RackID: rack})
 }
 

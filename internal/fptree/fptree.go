@@ -172,6 +172,9 @@ func FineTune[T any](list []T, predicted func(T) bool, w int) int {
 type Node[T any] struct {
 	Value    T
 	Children []*Node[T]
+	// Size is the number of participants in the node's subtree, itself
+	// included — what a relay message's sub-nodelist carries.
+	Size int
 }
 
 // Tree is a materialized width-w relay tree over a participant list. Root
@@ -207,7 +210,7 @@ func Build[T any](list []T, w int) *Tree[T] {
 			if sz == 0 {
 				continue
 			}
-			nd := &Node[T]{Value: list[pos]}
+			nd := &Node[T]{Value: list[pos], Size: sz}
 			nd.Children = rec(pos+1, pos+sz)
 			nodes = append(nodes, nd)
 			pos += sz

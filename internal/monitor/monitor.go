@@ -214,7 +214,7 @@ func (s *Subsystem) emit(a Alert, spurious bool) {
 // drift early enough to produce a SevCritical alert LeadTime (±50%,
 // uniform) before the failure; otherwise only the post-hoc SevFailure
 // alert fires at failAt. Experiment failure injectors call this alongside
-// Cluster.ScheduleFailure.
+// Cluster.ScheduleFail.
 func (s *Subsystem) NoticeImpendingFailure(node cluster.NodeID, failAt time.Duration) {
 	ind := s.indicators[s.rng.Intn(len(s.indicators))]
 	if s.rng.Float64() < s.cfg.DetectionProb {

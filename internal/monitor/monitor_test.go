@@ -56,7 +56,7 @@ func TestImpendingFailureAlertPrecedesFailure(t *testing.T) {
 	failAt := 2 * time.Hour
 	node := c.Computes()[5]
 	s.NoticeImpendingFailure(node, failAt)
-	c.ScheduleFailure(node, failAt, 0)
+	c.ScheduleFail(node, failAt, 0)
 	c.Engine.Run()
 
 	if len(alerts) < 2 {
@@ -86,7 +86,7 @@ func TestRepeatAlertsStopOnRecovery(t *testing.T) {
 	s.Subscribe(func(a Alert) { count++ })
 	node := c.Computes()[0]
 	s.NoticeImpendingFailure(node, time.Hour)
-	c.ScheduleFailure(node, time.Hour, 35*time.Minute) // recovers at t=1h35m
+	c.ScheduleFail(node, time.Hour, 35*time.Minute) // recovers at t=1h35m
 	c.Engine.RunUntil(6 * time.Hour)
 	// Initial failure alert + repeats at +10, +20, +30 minutes; the checks
 	// after recovery emit nothing.
@@ -104,7 +104,7 @@ func TestDetectionProbZeroGivesOnlyPostHoc(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.NoticeImpendingFailure(cluster.NodeID(i+1), time.Hour)
 	}
-	// The nodes never actually fail (no ScheduleFailure), so no repeat
+	// The nodes never actually fail (no ScheduleFail), so no repeat
 	// alarms fire: exactly one post-hoc alert each.
 	s.engine.RunUntil(3 * time.Hour)
 	for _, a := range alerts {

@@ -99,7 +99,7 @@ func TestAlertDrivenPreFailurePrediction(t *testing.T) {
 	node := c.Computes()[0]
 	failAt := 2 * time.Hour
 	sub.NoticeImpendingFailure(node, failAt)
-	c.ScheduleFailure(node, failAt, 0)
+	c.ScheduleFail(node, failAt, 0)
 	// Check 1 minute before the failure.
 	e.RunUntil(failAt - time.Minute)
 	if c.Node(node).Failed() {

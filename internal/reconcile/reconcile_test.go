@@ -160,7 +160,7 @@ func TestReconcilerDeterminism(t *testing.T) {
 	run := func() (Status, uint64) {
 		e, c, m := harness(t, 7, 4)
 		m.Pool.FaultTimeout = time.Minute
-		c.ScheduleFailure(2, 2*time.Minute, 3*time.Minute)
+		c.ScheduleFail(2, 2*time.Minute, 3*time.Minute)
 		rec := New(m, Spec{Satellites: 3}, Config{Interval: 20 * time.Second})
 		rec.Start()
 		rec.ScheduleMutations([]Mutation{

@@ -329,15 +329,38 @@ func (e *ESlurm) TerminateJob(nodes []cluster.NodeID, done func(time.Duration)) 
 	})
 }
 
-// All returns constructors for the six RMs of the paper's comparison, in
-// the order they appear in Fig. 7.
-func All(c *cluster.Cluster) []RM {
-	return []RM{
-		NewCentralized(c, SGEProfile()),
-		NewCentralized(c, TorqueProfile()),
-		NewCentralized(c, OpenPBSProfile()),
-		NewCentralized(c, LSFProfile()),
-		NewCentralized(c, SlurmProfile()),
-		NewESlurm(c),
+// NewShardedByName builds one of the six comparison RMs by its Fig. 7
+// name, with the constructors Fig. 7f uses (ESlurm without failure
+// prediction). It runs on any cluster layout, one cell or rack cells. It
+// panics on unknown names — a driver bug.
+func NewShardedByName(name string, c *cluster.Cluster) RM {
+	switch name {
+	case "SGE":
+		return NewCentralized(c, SGEProfile())
+	case "Torque":
+		return NewCentralized(c, TorqueProfile())
+	case "OpenPBS":
+		return NewCentralized(c, OpenPBSProfile())
+	case "LSF":
+		return NewCentralized(c, LSFProfile())
+	case "Slurm":
+		return NewCentralized(c, SlurmProfile())
+	case "ESlurm":
+		return NewESlurm(c)
+	default:
+		panic("rm: unknown RM " + name)
 	}
+}
+
+// Names lists the six RMs of the paper's comparison in Fig. 7 order.
+func Names() []string { return []string{"SGE", "Torque", "OpenPBS", "LSF", "Slurm", "ESlurm"} }
+
+// All builds the six RMs of the paper's comparison over one cluster, in
+// Fig. 7 order.
+func All(c *cluster.Cluster) []RM {
+	var out []RM
+	for _, name := range Names() {
+		out = append(out, NewShardedByName(name, c))
+	}
+	return out
 }

@@ -1,7 +1,8 @@
 package simnet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"time"
 
@@ -67,6 +68,7 @@ type ShardGroup struct {
 	// run, so reusing the slice keeps the barrier allocation-free once the
 	// buffer has grown to the largest batch seen.
 	merged []crossEvent
+	order  []*crossEvent // mergeCross's sort scratch, reused like merged
 
 	// pool is the persistent window-worker pool, alive for the duration of
 	// one RunUntil call (nil while idle and in workers==1 mode). Spawning
@@ -97,7 +99,8 @@ type crossEvent struct {
 	src int
 	seq uint64
 	dst int
-	fn  func()
+	h   Handler
+	op  uint8
 }
 
 // shardCmd is one window assignment handed to a worker goroutine: the
@@ -179,8 +182,10 @@ func (g *ShardGroup) Processed() uint64 {
 	return n
 }
 
-// Send schedules fn on cell dst at absolute virtual time at, from cell
-// src. Cross-cell sends must respect the lookahead: at must be at least
+// Send schedules h.Fire(op) on cell dst at absolute virtual time at, from
+// cell src. The handler form lets a model ship one pooled object across
+// cells instead of a closure per event. Cross-cell sends must respect the
+// lookahead: at must be at least
 // the source cell's current time plus the group lookahead, or the
 // conservative window protocol would deliver into a window already
 // executing — the panic is the contract's teeth. Same-cell sends are
@@ -189,17 +194,17 @@ func (g *ShardGroup) Processed() uint64 {
 // Delivery order is deterministic: buffered cross-cell events are merged
 // at each window barrier sorted by (at, src cell, per-source sequence),
 // and scheduled onto the destination engine in that order.
-func (g *ShardGroup) Send(src, dst int, at time.Duration, fn func()) {
+func (g *ShardGroup) Send(src, dst int, at time.Duration, h Handler, op uint8) {
 	e := g.cells[src]
 	if dst == src {
-		e.Schedule(at, fn)
+		e.schedule(at, h, op)
 		return
 	}
 	if at < e.now+g.lookahead {
 		panic("simnet: cross-shard send inside the lookahead window")
 	}
 	g.seqs[src]++
-	g.out[src] = append(g.out[src], crossEvent{at: at, src: src, seq: g.seqs[src], dst: dst, fn: fn})
+	g.out[src] = append(g.out[src], crossEvent{at: at, src: src, seq: g.seqs[src], dst: dst, h: h, op: op})
 }
 
 // EnableDigest arms per-cell (at, seq) execution-trace digests (FNV-1a).
@@ -418,29 +423,34 @@ func (g *ShardGroup) mergeCross() {
 	if len(all) == 0 {
 		return
 	}
-	sortCross(all)
+	// Sort pointers, not the events: a swap moves one word, and windows
+	// whose mail is already in order (one busy source) skip the sort.
+	order := g.order[:0]
 	for i := range all {
-		g.cells[all[i].dst].Schedule(all[i].at, all[i].fn)
-		all[i].fn = nil // release the closure; the scratch buffer outlives the window
+		order = append(order, &all[i])
 	}
+	if !slices.IsSortedFunc(order, compareCross) {
+		slices.SortFunc(order, compareCross)
+	}
+	for _, ev := range order {
+		g.cells[ev.dst].schedule(ev.at, ev.h, ev.op)
+		ev.h = nil // release the handler; the scratch buffer outlives the window
+	}
+	clear(order)
+	g.order = order[:0]
 }
 
-// sortCross sorts by (at, src, seq). The key is a total order — seq is
-// unique per src — so any comparison sort yields the same permutation;
-// sort.Slice keeps broadcast-burst barriers (thousands of cross events in
-// one window) out of quadratic territory.
-func sortCross(a []crossEvent) {
-	sort.Slice(a, func(i, j int) bool { return crossBefore(&a[i], &a[j]) })
-}
-
-func crossBefore(x, y *crossEvent) bool {
-	if x.at != y.at {
-		return x.at < y.at
+// compareCross orders by (at, src, seq). The key is a total order — seq
+// is unique per src — so any comparison sort yields the same
+// permutation.
+func compareCross(x, y *crossEvent) int {
+	switch {
+	case x.at != y.at:
+		return cmp.Compare(x.at, y.at)
+	case x.src != y.src:
+		return cmp.Compare(x.src, y.src)
 	}
-	if x.src != y.src {
-		return x.src < y.src
-	}
-	return x.seq < y.seq
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // runWindow executes this engine's events with at < end, then advances

@@ -26,7 +26,7 @@ func shardTraffic(g *ShardGroup, hops int) *[]uint64 {
 		next := (cell + 1) % g.Cells()
 		jitter := time.Duration(e.Rand("traffic/cross").Intn(200)) * time.Microsecond
 		at := e.Now() + g.Lookahead() + jitter
-		g.Send(cell, next, at, func() { relay(next, hop+1) })
+		g.Send(cell, next, at, funcHandler(func() { relay(next, hop+1) }), 0)
 	}
 	for c := 0; c < g.Cells(); c++ {
 		c := c
@@ -112,7 +112,7 @@ func TestShardGroupAllCrossTraffic(t *testing.T) {
 			if dst == cell {
 				dst = (dst + 1) % 4
 			}
-			g.Send(cell, dst, g.Cell(cell).Now()+g.Lookahead(), func() { ping(dst, n+1) })
+			g.Send(cell, dst, g.Cell(cell).Now()+g.Lookahead(), funcHandler(func() { ping(dst, n+1) }), 0)
 		}
 		for c := 0; c < 4; c++ {
 			c := c
@@ -139,7 +139,7 @@ func TestShardGroupDeadline(t *testing.T) {
 	g.Cell(0).Schedule(time.Millisecond+1, func() { afterDeadline = true })
 	// A cross send whose delivery lands past the first deadline.
 	g.Cell(0).Schedule(990*time.Microsecond, func() {
-		g.Send(0, 1, g.Cell(0).Now()+g.Lookahead(), func() { crossed = true })
+		g.Send(0, 1, g.Cell(0).Now()+g.Lookahead(), funcHandler(func() { crossed = true }), 0)
 	})
 	g.RunUntil(time.Millisecond)
 	if !atDeadline {
@@ -165,8 +165,8 @@ func TestShardGroupDeadline(t *testing.T) {
 func TestShardGroupIdleWiring(t *testing.T) {
 	g := NewShardGroup(3, 3, time.Millisecond, 2)
 	var hits int
-	g.Send(0, 2, 5*time.Millisecond, func() { hits++ })
-	g.Send(1, 2, 5*time.Millisecond, func() { hits++ })
+	g.Send(0, 2, 5*time.Millisecond, funcHandler(func() { hits++ }), 0)
+	g.Send(1, 2, 5*time.Millisecond, funcHandler(func() { hits++ }), 0)
 	g.RunUntil(10 * time.Millisecond)
 	if hits != 2 {
 		t.Fatalf("idle-wired cross events: %d hits, want 2", hits)
@@ -182,7 +182,7 @@ func TestShardGroupLookaheadViolation(t *testing.T) {
 			t.Fatal("cross-shard send inside the lookahead window did not panic")
 		}
 	}()
-	g.Send(0, 1, 999*time.Microsecond, func() {})
+	g.Send(0, 1, 999*time.Microsecond, funcHandler(func() {}), 0)
 }
 
 // TestShardGroupConstructorPanics pins the constructor contract.
